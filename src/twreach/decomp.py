@@ -258,10 +258,6 @@ def validate_td(g: DiGraph, t: TreeDecomp, vertices: Iterable[int] | None = None
     return ValidityReport(covers_vertices, covers_edges, connected, witness)
 
 
-def augment_all_bags(t: TreeDecomp, s: Iterable[int]) -> TreeDecomp:
-    return t.augment(s)
-
-
 def parse_td(text: str | bytes) -> TreeDecomp:
     """Parse PACE 2017 style .td text. A "c root <id>" comment sets the root."""
     if isinstance(text, bytes):
@@ -277,7 +273,10 @@ def parse_td(text: str | bytes) -> TreeDecomp:
         if line.startswith("c"):
             parts = line.split()
             if len(parts) == 3 and parts[1] == "root":
-                root = int(parts[2])
+                try:
+                    root = int(parts[2])
+                except ValueError:
+                    raise TdFormatError("non-integer root id", lineno) from None
             continue
         parts = line.split()
         if parts[0] == "s":
@@ -549,20 +548,16 @@ def materialize_struct(struct: _Struct) -> BalancedTD:
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
     children: dict[int, list[int]] = {}
-    counter = [0]
-
-    def visit(node: _Struct) -> int:
-        counter[0] += 1
-        nid = counter[0]
+    stack: list[tuple[_Struct, int | None]] = [(struct, None)]
+    while stack:
+        node, parent = stack.pop()
+        nid = len(bags) + 1
         bags[nid] = node.bag
         children[nid] = []
-        for ch in node.children:
-            cid = visit(ch)
-            edges.append((nid, cid))
-            children[nid].append(cid)
-        return nid
-
-    visit(struct)
+        if parent is not None:
+            edges.append((parent, nid))
+            children[parent].append(nid)
+        stack.extend((ch, nid) for ch in reversed(node.children))
     return BalancedTD(bags, edges, root=1, ordered_children=children)
 
 

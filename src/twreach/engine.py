@@ -3,26 +3,25 @@
 The engine walks the leaf schedule of a balanced binary decomposition: at each
 leaf it re-marks, into a fresh vector scoped to that leaf, every vertex
 reachable from the previously marked set by at most one arc (or equal to a
-marked vertex). Two evaluation strategies produce bit-identical results and
-accounting:
+marked vertex).
 
-  * "loop"  - the literal iteration-by-iteration walk;
-  * "fast"  - a block-memoized evaluator that exploits the massive repetition
-              of (subtree, budget, state) triples in the schedule. Needed at
-              sizes where the schedule length makes the literal walk
-              infeasible; equivalence is covered by tests.
+The production evaluator ("fast", also what the default "auto" runs) splits
+each block of the schedule by `LeafSeq.parts` and memoizes the outcome of a
+(subtree, budget, entry state) triple, which the schedule repeats massively.
+The literal iteration-by-iteration walk ("loop") is kept as the reference the
+tests compare it with: both give bit-identical results and accounting.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .decomp import BalancedTD, TreeDecomp, validate_td
 from .graph import DiGraph, VertexSet, undirected_components, vset
 from .recursive import build_balanced
-from .sequences import LeafSeq, useq_element, useq_length
-
-LOOP_ITERATION_LIMIT = 300_000  # "auto" switches to the fast engine above this
+from .sequences import LeafSeq
+# Not called here since the walk recurses through LeafSeq.parts; kept as
+# engine.useq_element because perfbench/tracing.py counts calls through it.
+from .sequences import useq_element  # noqa: F401
 
 
 class MeterError(ValueError):
@@ -50,16 +49,6 @@ class SpaceMeter:
         if name not in self.registry:
             raise MeterError(f"unknown working-state item {name!r}")
         self.current_bits -= self.registry.pop(name)
-
-
-def meter_register(meter: SpaceMeter, name: str, bits: int) -> SpaceMeter:
-    meter.register(name, bits)
-    return meter
-
-
-def meter_release(meter: SpaceMeter, name: str) -> SpaceMeter:
-    meter.release(name)
-    return meter
 
 
 @dataclass(frozen=True)
@@ -219,48 +208,40 @@ class _Runner:
 
     def run_fast(self, t: int, d: int, initial: int) -> tuple[int, int, int]:
         """Block-memoized walk, extensionally identical to run_loop."""
-        lengths = LeafSeq(self.tree, t, d)
-        cache: dict[tuple[int, int, int], tuple[int, int]] = {}
+        seq = LeafSeq(self.tree, t, d)
+        state, work = self._block(seq, {}, t, d, initial)
+        return state, seq.block_length(t, d), work
 
-        def block(t: int, d: int, state: int) -> tuple[int, int]:
-            key = (t, d, state)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            kids = self.tree.children(t)
-            work = 0
-            if not kids:
-                s = state
-                steps = 0
-                while steps < d:
-                    nxt = self.step(t, s)
-                    work += self.step_work(t, s)
-                    steps += 1
-                    if nxt == s:
-                        break
-                    s = nxt
-                # marks at a fixed leaf are monotone, so the remaining
-                # repetitions leave the state unchanged
-                work += (d - steps) * self.step_work(t, s)
-                out = (s, work)
-            else:
-                left = kids[0]
-                right = kids[1] if len(kids) > 1 else None
-                logd = d.bit_length() - 1
-                s = state
-                for k in range(1, useq_length(logd) + 1):
-                    c = useq_element(logd, k)
-                    s, w = block(left, c, s)
-                    work += w
-                    if right is not None:
-                        s, w = block(right, c, s)
-                        work += w
-                out = (s, work)
-            cache[key] = out
-            return out
+    def _block(self, seq: LeafSeq, memo: dict, t: int, d: int,
+               state: int) -> tuple[int, int]:
+        """(final state, work) of block (t, d) entered with `state`, memoized.
 
-        state, work = block(t, d, initial)
-        return state, lengths.block_length(t, d), work
+        The memo table is an argument, not a closure cell, so that it is freed
+        as soon as run_fast returns.
+        """
+        key = (t, d, state)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        work = 0
+        if self.tree.is_leaf(t):
+            steps = 0
+            while steps < d:
+                nxt = self.step(t, state)
+                work += self.step_work(t, state)
+                steps += 1
+                if nxt == state:
+                    break
+                state = nxt
+            # marks at a fixed leaf are monotone, so the remaining
+            # repetitions leave the state unchanged
+            work += (d - steps) * self.step_work(t, state)
+        else:
+            for part in seq.parts(t, d):
+                state, w = self._block(seq, memo, *part, state)
+                work += w
+        out = memo[key] = (state, work)
+        return out
 
 
 def _meter_layout(meter: SpaceMeter, cap: int, n_nodes: int, n: int, seq_len: int) -> None:
@@ -294,15 +275,14 @@ def reach_balanced(g: DiGraph, tree: BalancedTD, u: int, v: int,
     width = tree.width()
     depth = tree.depth()
     cap = (width + 1) * (depth + 1)
-    seq_len = lseq_len = LeafSeq(tree, tree.root, d_total).block_length(tree.root, d_total)
+    seq_len = LeafSeq(tree, tree.root, d_total).block_length(tree.root, d_total)
     _meter_layout(meter, cap, len(tree.bags), n, seq_len)
 
-    if engine == "auto":
-        engine = "loop" if lseq_len <= LOOP_ITERATION_LIMIT else "fast"
     initial = 1 << u  # u is in every leaf scope after augmentation
     if engine == "loop":
         state, iters, work = runner.run_loop(tree.root, d_total, initial)
-    elif engine == "fast":
+    elif engine in ("auto", "fast"):
+        engine = "fast"
         state, iters, work = runner.run_fast(tree.root, d_total, initial)
     else:
         raise ValueError(f"unknown engine {engine!r}")

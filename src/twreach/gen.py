@@ -78,13 +78,13 @@ class BenchRecord:
         return ",".join(str(getattr(self, f)) for f in BENCH_FIELDS)
 
 
-def bench_one(spec: KTreeSpec, engine: str = "auto") -> BenchRecord:
+def bench_one(spec: KTreeSpec) -> BenchRecord:
     g, td = gen_ktree(spec)
     rng = random.Random(spec.seed ^ 0x5EED)
     u = rng.randrange(1, spec.n + 1)
     v = rng.randrange(1, spec.n + 1)
     start = time.perf_counter()
-    _, report = reach(g, td, u, v, engine=engine)
+    _, report = reach(g, td, u, v)
     elapsed = time.perf_counter() - start
     return BenchRecord(n=spec.n, k=spec.k, width_input=td.width(),
                        width_balanced=report.width_balanced,
@@ -93,14 +93,12 @@ def bench_one(spec: KTreeSpec, engine: str = "auto") -> BenchRecord:
                        peak_bits=report.peak_bits, wall_time=elapsed)
 
 
-def bench(grid: list[tuple[int, int]], repetitions: int, seed: int = 0,
-          engine: str = "auto") -> list[BenchRecord]:
+def bench(grid: list[tuple[int, int]], repetitions: int, seed: int = 0) -> list[BenchRecord]:
     """One record per (n, k, repetition), in grid order."""
     records = []
     for idx, (n, k) in enumerate(grid):
         for rep in range(repetitions):
-            records.append(bench_one(KTreeSpec(n=n, k=k, seed=seed + 1000 * idx + rep),
-                                     engine=engine))
+            records.append(bench_one(KTreeSpec(n=n, k=k, seed=seed + 1000 * idx + rep)))
     return records
 
 

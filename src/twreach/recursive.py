@@ -8,7 +8,7 @@ is then binarized and balanced.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .decomp import BalancedTD, TreeDecomp, _Struct, _build_struct, materialize_struct
 from .graph import DiGraph, VertexSet, component_containing, undirected_components, vset
@@ -79,26 +79,6 @@ def rd_children(ctx: RDContext, node: RDNode) -> list[RDNode]:
     return children
 
 
-def rd_parent(ctx: RDContext, node: RDNode) -> RDNode:
-    """Parent of a non-root node, found by descending from the root."""
-    current = ctx.root()
-    if node == current:
-        raise ValueError("the root has no parent")
-    for _ in range(ctx.g.n + 1):
-        kids = rd_children(ctx, current)
-        if node in kids:
-            return current
-        step = None
-        for child in kids:
-            if node.r in set(ctx.component_of(child)):
-                step = child
-                break
-        if step is None:
-            raise ValueError(f"{node} is not a member of the recursive decomposition")
-        current = step
-    raise ValueError(f"{node} is not a member of the recursive decomposition")
-
-
 def hat_bag(ctx: RDContext, node: RDNode) -> VertexSet:
     """Relabeling bag: Z union ((sep(comp) union sep(Z)) intersect comp)."""
     if node.r in node.z:
@@ -111,16 +91,12 @@ def hat_bag(ctx: RDContext, node: RDNode) -> VertexSet:
 def materialize_rd(ctx: RDContext) -> list[tuple[int, RDNode, int | None]]:
     """Full recursive decomposition as (id, node, parent-id) in preorder."""
     out: list[tuple[int, RDNode, int | None]] = []
-    counter = [0]
-
-    def visit(node: RDNode, parent: int | None) -> None:
-        counter[0] += 1
-        nid = counter[0]
+    stack: list[tuple[RDNode, int | None]] = [(ctx.root(), None)]
+    while stack:
+        node, parent = stack.pop()
+        nid = len(out) + 1
         out.append((nid, node, parent))
-        for child in rd_children(ctx, node):
-            visit(child, nid)
-
-    visit(ctx.root(), None)
+        stack.extend((child, nid) for child in reversed(rd_children(ctx, node)))
     return out
 
 

@@ -3,11 +3,15 @@
 The universal sequence of order s is <1> for s=0 and otherwise the order-(s-1)
 sequence, then <2^s>, then the order-(s-1) sequence again. A leaf schedule
 Lseq(t, d) interleaves the schedules of t's children according to the
-universal sequence of order log2 d; it is addressed by index without ever
-being materialized.
+universal sequence of order log2 d. By the same self-similarity, the block of
+an inner node t at budget d is the block of t at d/2, then each child's block
+at d, then the block of t at d/2 again. `LeafSeq.parts` states that rule once;
+the schedule's length, its elements by index and its stream all recurse
+through it, and nothing is ever materialized.
 """
 from __future__ import annotations
 
+from itertools import repeat
 from math import comb
 from typing import Iterator
 
@@ -83,8 +87,10 @@ def lseq_length(h: int, d: int) -> int:
 class LeafSeq:
     """Virtual leaf schedule over a subtree of a balanced decomposition.
 
-    Lengths are computed structurally per node so that single-child nodes
-    (possible after binarization) contribute an empty missing-child block.
+    The block of a leaf at budget d is d copies of the leaf. The block of an
+    inner node is split by `parts`; lengths, indexing and iteration all
+    recurse through it, so single-child nodes (possible after binarization)
+    simply have no right-child sub-blocks.
     """
 
     def __init__(self, tree: BalancedTD, t: int, d: int):
@@ -96,82 +102,66 @@ class LeafSeq:
         self.d = d
         self._len_cache: dict[tuple[int, int], int] = {}
 
+    def parts(self, t: int, d: int) -> list[tuple[int, int]]:
+        """Sub-blocks of inner node t's block at budget d, in schedule order.
+
+        The block interleaves t's children along the order-log2(d) universal
+        sequence. As U_s = U_{s-1}, <2^s>, U_{s-1}, that is the block at d/2,
+        every child at budget d, and the block at d/2 again; at d = 1 it is
+        every child at budget 1.
+        """
+        kids = [(kid, d) for kid in self.tree.children(t)]
+        if d == 1:
+            return kids
+        half = (t, d >> 1)
+        return [half, *kids, half]
+
     def block_length(self, t: int, d: int) -> int:
-        key = (t, d)
-        hit = self._len_cache.get(key)
-        if hit is not None:
-            return hit
-        kids = self.tree.children(t)
-        if not kids:
-            total = d
-        else:
-            left = kids[0]
-            right = kids[1] if len(kids) > 1 else None
-            total = 0
-            logd = d.bit_length() - 1
-            for k in range(1, useq_length(logd) + 1):
-                c = useq_element(logd, k)
-                total += self.block_length(left, c)
-                if right is not None:
-                    total += self.block_length(right, c)
-        self._len_cache[key] = total
-        return total
+        cache = self._len_cache
+        if (t, d) in cache:
+            return cache[t, d]
+        if self.tree.is_leaf(t):
+            cache[t, d] = d
+            return d
+        # fill the missing budgets d, d/2, ... of t smallest first, so that each
+        # finds its (t, c/2) sub-blocks cached and the recursion only follows
+        # the children, however large d is
+        missing = []
+        while d and (t, d) not in cache:
+            missing.append(d)
+            d >>= 1
+        for c in reversed(missing):
+            cache[t, c] = sum(self.block_length(*part) for part in self.parts(t, c))
+        return cache[t, missing[0]]
 
     def __len__(self) -> int:
         return self.block_length(self.t, self.d)
 
     def element(self, r: int) -> int:
-        """Leaf node id at 1-based index r, by recurrence descent."""
-        if not 1 <= r <= len(self):
-            raise ValueError(f"index {r} out of range")
+        """Leaf node id at 1-based index r, by descent through the sub-blocks."""
         t, d = self.t, self.d
-        while self.tree.children(t):
-            kids = self.tree.children(t)
-            left = kids[0]
-            right = kids[1] if len(kids) > 1 else None
-            logd = d.bit_length() - 1
-            for k in range(1, useq_length(logd) + 1):
-                c = useq_element(logd, k)
-                ll = self.block_length(left, c)
-                if r <= ll:
-                    t, d = left, c
+        if not 1 <= r <= self.block_length(t, d):
+            raise ValueError(f"index {r} out of range")
+        while not self.tree.is_leaf(t):
+            for t, d in self.parts(t, d):  # descend into the part that holds r
+                size = self.block_length(t, d)
+                if r <= size:
                     break
-                r -= ll
-                if right is not None:
-                    lr = self.block_length(right, c)
-                    if r <= lr:
-                        t, d = right, c
-                        break
-                    r -= lr
-            else:  # pragma: no cover - lengths guarantee descent
-                raise AssertionError("index arithmetic out of bounds")
+                r -= size
         return t
 
     def __iter__(self) -> Iterator[int]:
         """Stream leaves in order without materializing the schedule."""
-        yield from self._iter_block(self.t, self.d)
-
-    def _iter_block(self, t: int, d: int) -> Iterator[int]:
-        kids = self.tree.children(t)
-        if not kids:
-            for _ in range(d):
-                yield t
-            return
-        left = kids[0]
-        right = kids[1] if len(kids) > 1 else None
-        logd = d.bit_length() - 1
-        for k in range(1, useq_length(logd) + 1):
-            c = useq_element(logd, k)
-            yield from self._iter_block(left, c)
-            if right is not None:
-                yield from self._iter_block(right, c)
+        stack = [(self.t, self.d)]
+        while stack:
+            t, d = stack.pop()
+            if self.tree.is_leaf(t):
+                yield from repeat(t, d)
+            else:
+                stack.extend(reversed(self.parts(t, d)))
 
     def materialize(self) -> list[int]:
         return list(self)
-
-
-def lseq_length_tree(tree: BalancedTD, t: int, d: int) -> int:
-    return LeafSeq(tree, t, d).block_length(t, d)
 
 
 def lseq_element(tree: BalancedTD, t: int, d: int, r: int) -> int:

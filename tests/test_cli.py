@@ -1,9 +1,12 @@
+import time
+
 import pytest
 
 from twreach import cli
-from twreach.decomp import parse_td, validate_td
+from twreach.decomp import BalancedTD, parse_td, validate_td, write_td
 from twreach.gen import KTreeSpec, gen_ktree
 from twreach.graph import parse_graph
+from twreach.recursive import build_balanced
 
 PATH_GR = "p dgr 4 3\n1 2\n2 3\n3 4\n"
 PATH_TD = "c root 1\ns td 3 2 4\nb 1 1 2\nb 2 2 3\nb 3 3 4\n1 2\n2 3\n"
@@ -102,6 +105,25 @@ def test_lseq(path_files, capsys):
     assert cli.main(["lseq", "--td", td, "--d", "2", "--r", "1"]) == 0
     leaf = int(capsys.readouterr().out)
     assert leaf == 3
+
+
+def test_lseq_huge_budget_is_fast(tmp_path, capsys):
+    # a 2^40 budget makes the schedule longer than 2^63: bounds and descent
+    # must not go through len() or walk the universal sequence
+    g, t = gen_ktree(KTreeSpec(n=64, k=3, seed=7))
+    td = tmp_path / "b.td"
+    td.write_text(write_td(build_balanced(g, t), n_vertices=g.n))
+    start = time.perf_counter()
+    code = cli.main(["lseq", "--td", str(td), "--d", str(1 << 40), "--r", "123456789"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    parsed = parse_td(td.read_text())
+    tree = BalancedTD(parsed.bags, [tuple(e) for e in parsed.edges], parsed.root)
+    assert int(capsys.readouterr().out) in tree.leaves
+    assert elapsed < 1.0
+    # far past the interpreter's recursion limit in halvings of the budget
+    assert cli.main(["lseq", "--td", str(td), "--d", str(1 << 1200), "--r", "1"]) == 0
+    assert int(capsys.readouterr().out) in tree.leaves
 
 
 def test_lseq_unrooted(tmp_path, capsys):

@@ -94,6 +94,12 @@ def test_parse_td_errors():
         parse_td("s td 2 1 1\nb 1 1\n")
 
 
+def test_parse_td_non_integer_root():
+    with pytest.raises(TdFormatError, match="non-integer root id, line 2") as exc:
+        parse_td("s td 1 1 1\nc root abc\nb 1 1\n")
+    assert exc.value.line == 2
+
+
 def test_write_parse_roundtrip():
     text = write_td(PATH_T, n_vertices=4)
     again = parse_td(text)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -6,8 +7,7 @@ import pytest
 from twreach.decomp import BalancedTD, TreeDecomp
 from twreach.engine import (AncestorOrder, MarkVector, MeterError, ReachReport,
                             SpaceMeter, _Runner, ancestor_vertices, gad_view,
-                            meter_register, meter_release, pos, reach,
-                            reach_balanced)
+                            pos, reach, reach_balanced)
 from twreach.gen import KTreeSpec, gen_ktree
 from twreach.graph import DiGraph, bfs_reachable
 from twreach.recursive import build_balanced
@@ -34,13 +34,6 @@ def test_meter_errors():
         m.release("b")
     with pytest.raises(MeterError, match="non-negative"):
         m.register("c", -1)
-
-
-def test_meter_helpers_chain():
-    m = SpaceMeter()
-    assert meter_register(m, "x", 3) is m
-    assert meter_release(m, "x") is m
-    assert m.current_bits == 0 and m.peak_bits == 3
 
 
 def _tree():
@@ -196,6 +189,20 @@ def test_report_iterations_match_schedule():
     assert report.iterations == len(LeafSeq(tree, tree.root, report.d))
     cap = (report.width_balanced + 1) * (report.depth_balanced + 1)
     assert report.relax_work <= report.iterations * cap * cap
+
+
+def test_walks_leave_no_cyclic_garbage():
+    g, td = gen_ktree(KTreeSpec(n=48, k=3, seed=1))
+    gc.collect()
+    gc.disable()
+    try:
+        build_balanced(g, td)
+        assert gc.collect() == 0
+        for engine in ("auto", "fast", "loop"):
+            reach(g, td, 1, 48, engine=engine)
+            assert gc.collect() == 0, engine
+    finally:
+        gc.enable()
 
 
 def test_engine_selection():

@@ -1,14 +1,15 @@
+import hashlib
 import math
 import random
 
 import pytest
 
-from twreach.decomp import TreeDecomp, validate_td
+from twreach.decomp import TreeDecomp, validate_td, write_td
 from twreach.gen import KTreeSpec, gen_ktree
 from twreach.graph import DiGraph, undirected_components
 from twreach.recursive import (RDContext, RDNode, build_balanced,
                                build_hat_decomposition, hat_bag,
-                               materialize_rd, rd_children, rd_parent)
+                               materialize_rd, rd_children)
 
 PATH_G = DiGraph(4, [(1, 2), (2, 3), (3, 4)])
 PATH_T = TreeDecomp({1: (1, 2), 2: (2, 3), 3: (3, 4)}, [(1, 2), (2, 3)], root=1)
@@ -34,16 +35,6 @@ def test_rd_children_path_handrun():
     assert rd_children(ctx, root) == [RDNode((2,), 3)]
     assert rd_children(ctx, RDNode((2,), 3)) == [RDNode((3,), 4)]
     assert rd_children(ctx, RDNode((3,), 4)) == []
-
-
-def test_rd_parent_path():
-    ctx = _path_ctx()
-    assert rd_parent(ctx, RDNode((3,), 4)) == RDNode((2,), 3)
-    assert rd_parent(ctx, RDNode((2,), 3)) == RDNode((), 1)
-    with pytest.raises(ValueError, match="no parent"):
-        rd_parent(ctx, ctx.root())
-    with pytest.raises(ValueError, match="not a member"):
-        rd_parent(ctx, RDNode((1,), 4))
 
 
 def test_hat_bags_path_handrun():
@@ -138,6 +129,14 @@ def test_build_balanced_disconnected():
     for b in out.bags.values():
         covered |= set(b)
     assert covered == {1, 2, 3, 4}
+
+
+def test_balanced_trees_pinned():
+    # SHA-1 prefixes of the balanced trees of the reference k=3, seed=7 instances
+    for n, prefix in ((64, "454c72575bec"), (256, "9682e402dd16")):
+        g, td = gen_ktree(KTreeSpec(n=n, k=3, seed=7))
+        text = write_td(build_balanced(g, td))
+        assert hashlib.sha1(text.encode()).hexdigest()[:12] == prefix, n
 
 
 def test_sep_cache_consistency():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from twreach.decomp import BalancedTD
 from twreach.sequences import (LeafSeq, dominating_subsequence, lseq_element,
-                               lseq_length, lseq_length_tree, useq_counts,
-                               useq_element, useq_length, useq_stream)
+                               lseq_length, useq_counts, useq_element,
+                               useq_length, useq_stream)
 
 
 def _materialize_useq(s):
@@ -112,7 +113,7 @@ def test_lseq_length_closed_form_matches_tree():
     for h in range(5):
         tree = _complete_tree(h)
         for d in (1, 2, 4, 8):
-            assert lseq_length(h, d) == lseq_length_tree(tree, 1, d)
+            assert lseq_length(h, d) == LeafSeq(tree, 1, d).block_length(1, d)
             assert lseq_length(h, d) == (1 << h) * d * comb(h + d.bit_length() - 1,
                                                             d.bit_length() - 1)
 
@@ -177,6 +178,46 @@ def test_lseq_single_child_nodes():
         assert set(mat) <= set(tree.leaves)
         # structural length is bounded by the complete-tree closed form
         assert len(seq) <= lseq_length(tree.depth(), d)
+
+
+def _literal_schedule(tree, t, d):
+    """The schedule by its definition: d copies of a leaf; an inner node's
+    children interleaved along the order-log2(d) universal sequence."""
+    kids = tree.children(t)
+    if not kids:
+        return [t] * d
+    out = []
+    for c in _materialize_useq(d.bit_length() - 1):
+        for kid in kids:
+            out.extend(_literal_schedule(tree, kid, c))
+    return out
+
+
+def _random_binary_tree(rng, size):
+    """Random BalancedTD on `size` nodes; nodes may have 0, 1 or 2 children."""
+    kids = {1: []}
+    edges = []
+    for x in range(2, size + 1):
+        parent = rng.choice([y for y in kids if len(kids[y]) < 2])
+        kids[parent].append(x)
+        kids[x] = []
+        edges.append((parent, x))
+    return BalancedTD({i: () for i in kids}, edges, root=1, ordered_children=kids)
+
+
+def test_lseq_matches_literal_definition():
+    rng = random.Random(11)
+    single_child_seen = False
+    for _ in range(40):
+        tree = _random_binary_tree(rng, rng.randint(1, 9))
+        single_child_seen |= any(len(tree.children(x)) == 1 for x in tree.bags)
+        for d in (1, 2, 4, 8, 16):
+            expected = _literal_schedule(tree, 1, d)
+            seq = LeafSeq(tree, 1, d)
+            assert len(seq) == len(expected)
+            assert seq.materialize() == expected
+            assert [seq.element(r) for r in range(1, len(expected) + 1)] == expected
+    assert single_child_seen
 
 
 def test_lseq_every_leaf_appears():

@@ -40,11 +40,15 @@ def cmd_validate(args) -> int:
 def cmd_separator(args) -> int:
     g = _load_graph(args.graph)
     t = _load_td(args.td)
+    rep = decomp.validate_td(g, t)
+    if not rep.ok:
+        print(f"input decomposition invalid: {rep.witness}", file=sys.stderr)
+        return 2
     if args.target:
         u = [int(x) for x in args.target.split(",")]
     else:
         u = range(1, g.n + 1)
-    result = sep(g, t, u)
+    result = sep(g, t, u)  # ValueError (exit 2) for targets outside 1..n
     print(f"bag_node: {result.bag_node}")
     print(f"separator: {' '.join(map(str, result.separator))}")
     print(f"target_size: {result.target_size}")

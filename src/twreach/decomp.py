@@ -5,7 +5,8 @@ binary one of logarithmic depth at the cost of a constant factor in width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 from .graph import DiGraph, VertexSet, vset
 
@@ -62,6 +63,18 @@ def _check_tree(ids: set[int], edges: set[frozenset[int]]) -> None:
         raise TdFormatError("decomposition edges do not connect all nodes")
 
 
+class Rooting(NamedTuple):
+    """A decomposition's tree rooted at its smallest node id, in preorder.
+
+    The subtree of node x is the preorder interval [pre[x], end[x]); `top[v]`
+    is the preorder index of the first bag holding vertex v.
+    """
+    pre: dict[int, int]
+    end: dict[int, int]
+    children: dict[int, list[int]]
+    top: dict[int, int]
+
+
 class TreeDecomp:
     """Labeled tree of bags. Immutable after construction.
 
@@ -96,6 +109,29 @@ class TreeDecomp:
 
     def width(self) -> int:
         return max(len(b) for b in self.bags.values()) - 1
+
+    @cached_property
+    def rooting(self) -> Rooting:
+        """Preorder rooting at the smallest node id, computed once per decomposition."""
+        root = min(self.bags)
+        order: list[int] = []
+        children: dict[int, list[int]] = {}
+        stack = [(root, None)]
+        while stack:
+            x, parent = stack.pop()
+            order.append(x)
+            children[x] = [y for y in self._adj[x] if y != parent]
+            stack.extend((y, x) for y in reversed(children[x]))
+        pre = {x: i for i, x in enumerate(order)}
+        end: dict[int, int] = {}
+        for x in reversed(order):
+            kids = children[x]
+            end[x] = end[kids[-1]] if kids else pre[x] + 1
+        top: dict[int, int] = {}
+        for i, x in enumerate(order):
+            for v in self.bags[x]:
+                top.setdefault(v, i)
+        return Rooting(pre, end, children, top)
 
     def parent_map(self) -> dict[int, int | None]:
         if self.root is None:

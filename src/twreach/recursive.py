@@ -74,6 +74,10 @@ def rd_children(ctx: RDContext, node: RDNode) -> list[RDNode]:
                     seen.add(y)
                     sub.add(y)
                     stack.append(y)
+        if 2 * len(sub) > len(comp):
+            # sep(comp) halves comp whenever the decomposition is valid; this
+            # also bounds the recursion on inputs that skipped validation
+            raise ValueError("invalid decomposition: a separator bag does not halve its component")
         boundary = vset(v for v in zp if any(y in sub for y in adj[v]))
         children.append(RDNode(boundary, min(sub)))
     return children
@@ -115,7 +119,9 @@ def build_balanced(g: DiGraph, t: TreeDecomp) -> BalancedTD:
     """Full pipeline: hat decomposition per component, binarized/balanced.
 
     Components are joined under a balanced spine of empty bags; no edges cross
-    components so validity is preserved.
+    components so validity is preserved. Requires a valid decomposition t
+    (`decomp.validate_td`); an invalid one may raise ValueError or
+    RuntimeError.
     """
     structs = []
     for comp in undirected_components(g):

@@ -53,6 +53,28 @@ def test_separator_explicit_target(path_files, capsys):
     assert "bag_node: 2" in capsys.readouterr().out
 
 
+def test_separator_invalid_decomposition(tmp_path, capsys):
+    # bags {1,2} and {3,4} leave edge (2,3) uncovered
+    gr = tmp_path / "g.gr"
+    td = tmp_path / "t.td"
+    gr.write_text(PATH_GR)
+    td.write_text("s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 2\n")
+    assert cli.main(["separator", "--graph", str(gr), "--td", str(td),
+                     "--target", "1,2,3,4"]) == 2
+    captured = capsys.readouterr()
+    assert "bag_node" not in captured.out
+    assert "invalid" in captured.err and "(2, 3)" in captured.err
+
+
+@pytest.mark.parametrize("target", ["999", "0", "1,5"])
+def test_separator_target_out_of_range(path_files, capsys, target):
+    gr, td = path_files
+    assert cli.main(["separator", "--graph", gr, "--td", td, "--target", target]) == 2
+    captured = capsys.readouterr()
+    assert "bag_node" not in captured.out
+    assert "1..4" in captured.err
+
+
 def test_balance_writes_file(path_files, tmp_path, capsys):
     gr, td = path_files
     out_path = tmp_path / "b.td"

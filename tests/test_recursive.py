@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from twreach import separator
 from twreach.decomp import TreeDecomp, validate_td, write_td
 from twreach.gen import KTreeSpec, gen_ktree
 from twreach.graph import DiGraph, undirected_components
@@ -131,12 +132,36 @@ def test_build_balanced_disconnected():
     assert covered == {1, 2, 3, 4}
 
 
+def test_build_balanced_invalid_decomposition_raises():
+    # vertex 4 and edge (3, 4) lie in no bag; without the halving check the
+    # recursion keeps the component {1, 2, 3, 4} forever
+    g = DiGraph(4, [(1, 2), (2, 1), (1, 3), (3, 1), (3, 4), (4, 3)])
+    td = TreeDecomp({1: (1, 2), 2: (1, 3), 3: (3,)}, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="invalid decomposition"):
+        build_balanced(g, td)
+
+
 def test_balanced_trees_pinned():
     # SHA-1 prefixes of the balanced trees of the reference k=3, seed=7 instances
-    for n, prefix in ((64, "454c72575bec"), (256, "9682e402dd16")):
+    for n, prefix in ((64, "454c72575bec"), (256, "9682e402dd16"), (1024, "95db2ee4d4aa")):
         g, td = gen_ktree(KTreeSpec(n=n, k=3, seed=7))
         text = write_td(build_balanced(g, td))
         assert hashlib.sha1(text.encode()).hexdigest()[:12] == prefix, n
+
+
+def test_balancing_needs_few_separator_searches(monkeypatch):
+    # the exhaustive scan searched the graph 33,660 times on this instance
+    calls = []
+    original = separator.is_balanced_separator
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(separator, "is_balanced_separator", counted)
+    g, td = gen_ktree(KTreeSpec(n=256, k=3, seed=7))
+    build_balanced(g, td)
+    assert 0 < len(calls) <= 3000
 
 
 def test_sep_cache_consistency():

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from twreach.decomp import TreeDecomp
+from twreach import recursive
+from twreach.decomp import TreeDecomp, validate_td
 from twreach.gen import KTreeSpec, gen_ktree
-from twreach.graph import DiGraph, undirected_components
+from twreach.graph import DiGraph, undirected_components, vset
+from twreach.recursive import build_balanced
 from twreach.separator import SeparatorResult, is_balanced_separator, sep
 
 PATH_G = DiGraph(4, [(1, 2), (2, 3), (3, 4)])
@@ -82,3 +84,133 @@ def test_sep_no_candidate():
     t = TreeDecomp({1: (5,)}, [])
     with pytest.raises(RuntimeError, match="no bag"):
         sep(g, t, (1, 2, 3, 4))
+
+
+def test_sep_rejects_out_of_range_targets():
+    for u in ((0,), (999,), (1, 5)):
+        with pytest.raises(ValueError, match="1..4"):
+            sep(PATH_G, PATH_T, u)
+
+
+def _oracle_sep(g, t, u):
+    """The exhaustive scan: first bag in ascending id that balanced-separates u."""
+    u = vset(u)
+    for node in sorted(t.bags):
+        if is_balanced_separator(g, t.bag(node), u):
+            return SeparatorResult(node, t.bag(node), len(u))
+    raise RuntimeError("no bag separates the target set")
+
+
+def _assert_sep_matches_oracle(g, t, u):
+    try:
+        want = _oracle_sep(g, t, u)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            sep(g, t, u)
+        return
+    assert sep(g, t, u) == want, (sorted(t.bags), vset(u))
+
+
+def _elimination_td(g):
+    """Decomposition from a min-degree elimination order (ties by lowest id).
+
+    Bag i is the i-th eliminated vertex with its neighbours at that time; its
+    tree parent is the bag of the first of those neighbours eliminated after
+    it, or the next bag when it has none, so disconnected graphs give a tree.
+    """
+    adj = {v: set(g.und_adj[v]) for v in range(1, g.n + 1)}
+    order, bags = [], []
+    while adj:
+        v = min(adj, key=lambda x: (len(adj[x]), x))
+        nbrs = adj.pop(v)
+        for a in nbrs:
+            adj[a] |= nbrs
+            adj[a] -= {a, v}
+        order.append(v)
+        bags.append(nbrs | {v})
+    pos = {v: i for i, v in enumerate(order)}
+    edges = []
+    for i, v in enumerate(order[:-1]):
+        later = bags[i] - {v}
+        edges.append((i + 1, 1 + (min(pos[x] for x in later) if later else i + 1)))
+    return TreeDecomp({i + 1: b for i, b in enumerate(bags)}, edges)
+
+
+def _variant(t, rng):
+    """t with padded bags, redundant subset leaves and randomly relabelled ids."""
+    bags = {x: set(b) for x, b in t.bags.items()}
+    edges = [tuple(e) for e in t.edges]
+    adj = {x: t.neighbors(x) for x in bags}
+    for x in rng.sample(sorted(bags), len(bags) // 3):
+        # padding with a vertex of a neighbouring bag keeps occurrences connected
+        y = rng.choice(adj[x]) if adj[x] else x
+        if bags[y]:
+            bags[x].add(rng.choice(sorted(bags[y])))
+    fresh = max(bags) + 1
+    for x in rng.sample(sorted(bags), len(bags) // 4):
+        bags[fresh] = set(rng.sample(sorted(bags[x]), rng.randint(0, len(bags[x]))))
+        edges.append((x, fresh))
+        fresh += 1
+    ids = rng.sample(range(1, 3 * len(bags) + 1), len(bags))
+    rename = dict(zip(sorted(bags), ids))
+    return TreeDecomp({rename[x]: b for x, b in bags.items()},
+                      [(rename[a], rename[b]) for a, b in edges])
+
+
+def _random_graph(rng):
+    """Sparse, grid or disconnected digraph with random arc directions."""
+    kind = rng.choice(["sparse", "grid", "disconnected"])
+    if kind == "grid":
+        rows, cols = rng.randint(1, 5), rng.randint(2, 6)
+        n = rows * cols
+        und = [(i, i + 1) for i in range(1, n + 1) if i % cols]
+        und += [(i, i + cols) for i in range(1, n - cols + 1)]
+    else:
+        n = rng.randint(1, 24)
+        m = rng.randint(0, n + n // 2) if kind == "sparse" else rng.randint(0, n // 2)
+        und = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(m)]
+    arcs = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in und]
+    return DiGraph(n, arcs)
+
+
+def _instances(rng):
+    """(graph, decomposition) pairs: k-trees and elimination decompositions,
+    each also with padded bags, subset leaves and relabelled ids."""
+    for seed in range(120):
+        g, td = gen_ktree(KTreeSpec(n=rng.randint(5, 24), k=1 + seed % 4, seed=seed,
+                                    arc_probability=rng.choice([0.2, 0.5, 0.9])))
+        yield g, td
+        yield g, _variant(td, rng)
+    for _ in range(200):
+        g = _random_graph(rng)
+        td = _elimination_td(g)
+        yield g, td
+        yield g, _variant(td, rng)
+
+
+def test_sep_matches_exhaustive_scan():
+    rng = random.Random(2024)
+    for g, t in _instances(rng):
+        assert validate_td(g, t).ok
+        targets = [rng.sample(range(1, g.n + 1), rng.randint(0, g.n)) for _ in range(4)]
+        targets += undirected_components(g) + [range(1, g.n + 1)]
+        for u in targets:
+            _assert_sep_matches_oracle(g, t, u)
+
+
+def test_sep_matches_exhaustive_scan_on_balancing_targets(monkeypatch):
+    # the exact target sets the recursive decomposition asks for
+    asked = []
+
+    def record(g, t, u):
+        asked.append((g, t, u))
+        return sep(g, t, u)
+
+    monkeypatch.setattr(recursive, "sep", record)
+    rng = random.Random(7)
+    for i, (g, t) in enumerate(_instances(rng)):
+        if i % 3 == 0:
+            build_balanced(g, t)
+    assert len(asked) > 500
+    for g, t, u in asked:
+        _assert_sep_matches_oracle(g, t, u)

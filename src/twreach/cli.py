@@ -14,6 +14,14 @@ from .recursive import build_balanced
 from .separator import sep
 from .sequences import lseq_element, useq_stream
 
+# Past these limits one command would run for hours or print gigabytes:
+# `useq --s` prints 2^(s+1) - 1 numbers, `bench` balances and walks one
+# instance per repetition, and an `lseq` answer costs (tree nodes) x
+# (log2 d)^2 big-int work.
+MAX_USEQ_ORDER = 20
+MAX_BENCH_REPS = 100
+MAX_LSEQ_BUDGET = 1 << 2048
+
 
 def _load_graph(path: str) -> graph.DiGraph:
     with open(path, "rb") as fh:
@@ -91,11 +99,15 @@ def cmd_reach(args) -> int:
 
 
 def cmd_useq(args) -> int:
+    if not 0 <= args.s <= MAX_USEQ_ORDER:
+        raise ValueError(f"--s must be in 0..{MAX_USEQ_ORDER}")
     print(" ".join(str(c) for c in useq_stream(args.s)))
     return 0
 
 
 def cmd_lseq(args) -> int:
+    if args.d > MAX_LSEQ_BUDGET:  # d < 1 and non-powers of 2 raise in LeafSeq
+        raise ValueError("--d must be at most 2**2048")
     t = _load_td(args.td)
     if t.root is None:
         print("decomposition file carries no root", file=sys.stderr)
@@ -118,6 +130,8 @@ def cmd_gen_ktree(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if not 1 <= args.reps <= MAX_BENCH_REPS:
+        raise ValueError(f"--reps must be in 1..{MAX_BENCH_REPS}")
     grid = []
     for part in args.grid.split(","):
         n_txt, k_txt = part.split(":")

@@ -4,6 +4,7 @@ binary one of logarithmic depth at the cost of a constant factor in width.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -183,38 +184,58 @@ class TreeDecomp:
 class BalancedTD(TreeDecomp):
     """Rooted binary tree decomposition with an explicit child order.
 
-    `ordered_children` fixes left/right children per node; the leaf index is
-    the list of leaves in depth-first order under that child order.
+    `ordered_children` fixes left/right children per node (ascending ids when
+    not given); the leaf index is the list of leaves in depth-first order under
+    that child order. The shape (parents, child order, heights, depths,
+    preorder, leaves) is computed once and shared by `augment`.
     """
 
     def __init__(self, bags, edges, root, ordered_children: dict[int, list[int]] | None = None):
         super().__init__(bags, edges, root=root)
         if root is None:
             raise ValueError("balanced decomposition requires a root")
-        if ordered_children is None:
-            ordered_children = self.children_map()
-        self.ordered_children = {i: list(ordered_children.get(i, [])) for i in self.bags}
-        for node, kids in self.ordered_children.items():
-            if len(kids) > 2:
-                raise ValueError(f"node {node} has {len(kids)} children; binary tree required")
-        self._height: dict[int, int] = {}
-        self._depth_of: dict[int, int] = {}
-        self._compute_shape()
+        self._compute_shape(ordered_children)
 
-    def _compute_shape(self) -> None:
+    def _compute_shape(self, given: dict[int, list[int]] | None) -> None:
+        parent: dict[int, int | None] = {self.root: None}
+        kids_of: dict[int, list[int]] = {}
+        depth_of: dict[int, int] = {}
         order: list[int] = []
         stack = [(self.root, 0)]
         while stack:
             x, d = stack.pop()
-            self._depth_of[x] = d
+            depth_of[x] = d
             order.append(x)
-            for y in reversed(self.ordered_children[x]):
-                stack.append((y, d + 1))
+            if given is None:
+                kids = [y for y in self._adj[x] if y != parent[x]]
+            else:
+                kids = list(given.get(x, []))
+            if len(kids) > 2:
+                raise ValueError(f"node {x} has {len(kids)} children; binary tree required")
+            for y in kids:
+                if y in parent or frozenset((x, y)) not in self.edges:
+                    raise ValueError(f"child {y} of node {x} does not follow the tree edges")
+                parent[y] = x
+            kids_of[x] = kids
+            stack.extend((y, d + 1) for y in reversed(kids))
+        if len(order) != len(self.bags):
+            raise ValueError("ordered children do not reach every node")
+        height: dict[int, int] = {}
         for x in reversed(order):
-            kids = self.ordered_children[x]
-            self._height[x] = 1 + max(self._height[k] for k in kids) if kids else 0
+            kids = kids_of[x]
+            height[x] = 1 + max(height[k] for k in kids) if kids else 0
+        self.ordered_children = kids_of
+        self._parent = parent
+        self._depth_of = depth_of
+        self._height = height
         self._preorder = order
-        self._leaves = [x for x in order if not self.ordered_children[x]]
+        self._leaves = [x for x in order if not kids_of[x]]
+
+    def parent_map(self) -> dict[int, int | None]:
+        return dict(self._parent)
+
+    def parent(self, node: int) -> int | None:
+        return self._parent[node]
 
     def children(self, node: int) -> list[int]:
         return self.ordered_children[node]
@@ -232,14 +253,20 @@ class BalancedTD(TreeDecomp):
         return self._height[self.root]
 
     @property
+    def preorder(self) -> list[int]:
+        return self._preorder
+
+    @property
     def leaves(self) -> list[int]:
         return self._leaves
 
     def augment(self, s: Iterable[int]) -> "BalancedTD":
+        """Every bag replaced by bag union s; the tree shape is shared, not rebuilt."""
         extra = set(s)
-        return BalancedTD({i: set(b) | extra for i, b in self.bags.items()},
-                          [tuple(e) for e in self.edges], self.root,
-                          ordered_children=self.ordered_children)
+        out = copy.copy(self)
+        out.bags = {i: vset(extra.union(b)) for i, b in self.bags.items()}
+        out.__dict__.pop("rooting", None)  # `rooting.top` depends on the bags
+        return out
 
 
 def validate_td(g: DiGraph, t: TreeDecomp, vertices: Iterable[int] | None = None) -> ValidityReport:

@@ -8,8 +8,12 @@ marked vertex).
 The production evaluator ("fast", also what the default "auto" runs) splits
 each block of the schedule by `LeafSeq.parts` and memoizes the outcome of a
 (subtree, budget, entry state) triple, which the schedule repeats massively.
-The literal iteration-by-iteration walk ("loop") is kept as the reference the
-tests compare it with: both give bit-identical results and accounting.
+The same recursion returns each block's length, so a run makes no separate
+pass over the schedule, and the per-query set-up is linear in the tree: every
+node's scope (the bags on its root path) is one vertex mask, filled from its
+parent's in a single preorder pass. The literal iteration-by-iteration walk
+("loop") is kept as the reference the tests compare it with: both give
+bit-identical results and accounting.
 """
 from __future__ import annotations
 
@@ -62,12 +66,11 @@ def ancestor_vertices(tree: BalancedTD, t: int) -> AncestorOrder:
     """Union of bags on the root-to-t path, ancestor-or-self, ascending order."""
     if t not in tree.bags:
         raise ValueError(f"unknown node id {t}")
-    parent = tree.parent_map()
     acc: set[int] = set()
     node: int | None = t
     while node is not None:
         acc.update(tree.bag(node))
-        node = parent[node]
+        node = tree.parent(node)
     return AncestorOrder(t, vset(acc))
 
 
@@ -118,12 +121,11 @@ class GadView:
 
 
 def gad_view(g: DiGraph, tree: BalancedTD, t: int) -> GadView:
-    parent = tree.parent_map()
     scope_nodes: set[int] = set()
     node: int | None = t
     while node is not None:
         scope_nodes.add(node)
-        node = parent[node]
+        node = tree.parent(node)
     stack = [t]
     while stack:
         x = stack.pop()
@@ -160,15 +162,16 @@ class _Runner:
     def __init__(self, g: DiGraph, tree: BalancedTD):
         self.g = g
         self.tree = tree
-        self.orders = {leaf: ancestor_vertices(tree, leaf) for leaf in tree.leaves}
-        self.scope_mask = {}
-        self.scope_size = {}
-        for leaf, order in self.orders.items():
-            m = 0
-            for v in order.vertices:
+        # scope of node x: the bags on the root-to-x path, as a mask over
+        # vertex ids; one preorder pass fills every parent before its children
+        self.scope_mask: dict[int, int] = {}
+        for x in tree.preorder:
+            up = tree.parent(x)
+            m = 0 if up is None else self.scope_mask[up]
+            for v in tree.bag(x):
                 m |= 1 << v
-            self.scope_mask[leaf] = m
-            self.scope_size[leaf] = len(order.vertices)
+            self.scope_mask[x] = m
+        self.scope_size = {x: m.bit_count() for x, m in self.scope_mask.items()}
         self.succ_mask = [0] * (g.n + 1)
         for u, v in g.arcs:
             if u != v:
@@ -208,23 +211,21 @@ class _Runner:
 
     def run_fast(self, t: int, d: int, initial: int) -> tuple[int, int, int]:
         """Block-memoized walk, extensionally identical to run_loop."""
-        seq = LeafSeq(self.tree, t, d)
-        state, work = self._block(seq, {}, t, d, initial)
-        return state, seq.block_length(t, d), work
+        state, work, length = self._block(LeafSeq(self.tree, t, d), {}, t, d, initial)
+        return state, length, work
 
     def _block(self, seq: LeafSeq, memo: dict, t: int, d: int,
-               state: int) -> tuple[int, int]:
-        """(final state, work) of block (t, d) entered with `state`, memoized.
+               state: int) -> tuple[int, int, int]:
+        """(final state, work, length) of block (t, d) entered with `state`.
 
-        The memo table is an argument, not a closure cell, so that it is freed
-        as soon as run_fast returns.
+        Inner blocks are memoized on (t, d, state). Leaf blocks are not: marks
+        at a fixed leaf are monotone, so a leaf block stops at the first
+        repeated state, after a few cached steps, and keeping them out makes
+        the memo about a third smaller. The memo table is an argument, not a
+        closure cell, so that it is freed as soon as run_fast returns.
         """
-        key = (t, d, state)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        work = 0
         if self.tree.is_leaf(t):
+            work = 0
             steps = 0
             while steps < d:
                 nxt = self.step(t, state)
@@ -233,14 +234,19 @@ class _Runner:
                 if nxt == state:
                     break
                 state = nxt
-            # marks at a fixed leaf are monotone, so the remaining
-            # repetitions leave the state unchanged
-            work += (d - steps) * self.step_work(t, state)
-        else:
-            for part in seq.parts(t, d):
-                state, w = self._block(seq, memo, *part, state)
-                work += w
-        out = memo[key] = (state, work)
+            # the remaining repetitions leave the state unchanged
+            return state, work + (d - steps) * self.step_work(t, state), d
+        key = (t, d, state)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        work = 0
+        length = 0
+        for part in seq.parts(t, d):
+            state, w, n = self._block(seq, memo, *part, state)
+            work += w
+            length += n
+        out = memo[key] = (state, work, length)
         return out
 
 
@@ -272,12 +278,6 @@ def reach_balanced(g: DiGraph, tree: BalancedTD, u: int, v: int,
     n = g.n
     d_total = 1 << max(n - 1, 0).bit_length()
     runner = _Runner(g, tree)
-    width = tree.width()
-    depth = tree.depth()
-    cap = (width + 1) * (depth + 1)
-    seq_len = LeafSeq(tree, tree.root, d_total).block_length(tree.root, d_total)
-    _meter_layout(meter, cap, len(tree.bags), n, seq_len)
-
     initial = 1 << u  # u is in every leaf scope after augmentation
     if engine == "loop":
         state, iters, work = runner.run_loop(tree.root, d_total, initial)
@@ -287,6 +287,11 @@ def reach_balanced(g: DiGraph, tree: BalancedTD, u: int, v: int,
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
+    width = tree.width()
+    depth = tree.depth()
+    # nothing is released before the end of the run, so registering the layout
+    # after the walk, once its length is known, gives the same peak
+    _meter_layout(meter, (width + 1) * (depth + 1), len(tree.bags), n, iters)
     for name in list(meter.registry):
         meter.release(name)
     reachable = bool(state >> v & 1)

@@ -148,6 +148,28 @@ def test_lseq_huge_budget_is_fast(tmp_path, capsys):
     assert int(capsys.readouterr().out) in tree.leaves
 
 
+def test_lseq_budget_limit(path_files, capsys):
+    _, td = path_files
+    assert cli.main(["lseq", "--td", td, "--d", str(cli.MAX_LSEQ_BUDGET), "--r", "1"]) == 0
+    assert int(capsys.readouterr().out) == 3
+    assert cli.main(["lseq", "--td", td, "--d", str(cli.MAX_LSEQ_BUDGET << 1), "--r", "1"]) == 2
+    assert "--d must be at most 2**2048" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s", ["-1", "21"])
+def test_useq_order_limit(s, capsys):
+    assert cli.main(["useq", "--s", s]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--s must be in 0..20" in captured.err
+
+
+@pytest.mark.parametrize("reps", ["0", "101"])
+def test_bench_reps_limit(reps, capsys):
+    assert cli.main(["bench", "--grid", "8:1", "--reps", reps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--reps must be in 1..100" in captured.err
+
+
 def test_lseq_unrooted(tmp_path, capsys):
     td = tmp_path / "t.td"
     td.write_text("s td 1 2 2\nb 1 1 2\n")

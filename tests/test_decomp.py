@@ -7,6 +7,7 @@ from twreach.decomp import (BalancedTD, TdFormatError, TreeDecomp,
                             binarize_balance, parse_td, validate_td, write_td)
 from twreach.gen import KTreeSpec, gen_ktree
 from twreach.graph import DiGraph
+from twreach.recursive import build_balanced
 
 PATH_G = DiGraph(4, [(1, 2), (2, 3), (3, 4)])
 PATH_T = TreeDecomp({1: (1, 2), 2: (2, 3), 3: (3, 4)}, [(1, 2), (2, 3)], root=1)
@@ -133,11 +134,46 @@ def test_balanced_td_shape():
     assert t.depth() == 2
     assert t.height(2) == 1 and t.depth_of(4) == 2
     assert t.is_leaf(3) and not t.is_leaf(1)
+    assert t.preorder == [1, 2, 4, 3]
+    parents = t.parent_map()
+    assert parents == TreeDecomp.parent_map(t) == {1: None, 2: 1, 3: 1, 4: 2}
+    parents[4] = 3  # a copy: the tree keeps its own
+    assert t.parent(4) == 2 and t.parent_map()[4] == 2
 
 
 def test_balanced_td_rejects_ternary():
     with pytest.raises(ValueError, match="binary"):
         BalancedTD({i: () for i in range(1, 5)}, [(1, 2), (1, 3), (1, 4)], root=1)
+
+
+def test_balanced_rejects_children_off_the_edges():
+    bags = {1: (), 2: (), 3: ()}
+    with pytest.raises(ValueError, match="tree edges"):
+        BalancedTD(bags, [(1, 2), (2, 3)], root=1, ordered_children={1: [2, 3], 2: [3]})
+    with pytest.raises(ValueError, match="tree edges"):
+        BalancedTD(bags, [(1, 2), (1, 3)], root=1, ordered_children={1: [2, 2]})
+    with pytest.raises(ValueError, match="reach every node"):
+        BalancedTD(bags, [(1, 2), (1, 3)], root=1, ordered_children={1: [2]})
+
+
+def test_balanced_augment_shares_shape():
+    g, td = gen_ktree(KTreeSpec(n=30, k=2, seed=4))
+    tree = build_balanced(g, td)
+    bags_before = dict(tree.bags)
+    rooting_before = tree.rooting  # cached before augmenting
+    s = {3, 17}
+    aug = tree.augment(s)
+    assert tree.bags == bags_before and tree.rooting is rooting_before
+    edges = [tuple(e) for e in tree.edges]
+    fresh = TreeDecomp({i: set(b) | s for i, b in tree.bags.items()}, edges, root=tree.root)
+    assert aug.bags == fresh.bags
+    assert aug.rooting == fresh.rooting != rooting_before
+    rebuilt = BalancedTD(fresh.bags, edges, tree.root, ordered_children=tree.ordered_children)
+    assert aug.preorder == rebuilt.preorder and aug.leaves == rebuilt.leaves
+    assert aug.parent_map() == rebuilt.parent_map()
+    for x in tree.bags:
+        assert aug.children(x) == rebuilt.children(x)
+        assert (aug.height(x), aug.depth_of(x)) == (rebuilt.height(x), rebuilt.depth_of(x))
 
 
 def test_balanced_explicit_child_order():

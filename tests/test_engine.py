@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from twreach import engine
 from twreach.decomp import BalancedTD, TreeDecomp
 from twreach.engine import (AncestorOrder, MarkVector, MeterError, ReachReport,
                             SpaceMeter, _Runner, ancestor_vertices, gad_view,
@@ -126,6 +127,69 @@ def test_engines_agree():
             a = runner.run_loop(tree.root, d, 1 << u)
             b = runner.run_fast(tree.root, d, 1 << u)
             assert a == b
+
+
+def _random_walk_instance(rng):
+    """Random digraph with a random BalancedTD over it: nodes may have 0, 1 or
+    2 children, and bags are random vertex subsets (the walk needs no valid
+    decomposition to be deterministic)."""
+    n = rng.randint(1, 8)
+    kids = {1: []}
+    edges = []
+    for x in range(2, rng.randint(1, 9) + 1):
+        parent = rng.choice([y for y in kids if len(kids[y]) < 2])
+        kids[parent].append(x)
+        kids[x] = []
+        edges.append((parent, x))
+    bags = {x: rng.sample(range(1, n + 1), rng.randint(0, min(3, n))) for x in kids}
+    arcs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 2 * n))]
+    return DiGraph(n, arcs), BalancedTD(bags, edges, root=1, ordered_children=kids)
+
+
+def test_fast_walk_length_and_scopes_match_reference():
+    rng = random.Random(8)
+    single_child_seen = False
+    for _ in range(150):
+        g, tree = _random_walk_instance(rng)
+        single_child_seen |= any(len(tree.children(x)) == 1 for x in tree.bags)
+        runner = _Runner(g, tree)
+        for t in tree.node_ids():
+            scope = ancestor_vertices(tree, t).vertices
+            assert runner.scope_mask[t] == sum(1 << v for v in scope)
+            assert runner.scope_size[t] == len(scope)
+            for d in (1, 2, 4, 8):
+                initial = sum(1 << v for v in rng.sample(range(1, g.n + 1), rng.randint(1, min(3, g.n))))
+                fast = runner.run_fast(t, d, initial)
+                assert fast[1] == len(LeafSeq(tree, t, d))
+                assert fast == runner.run_loop(t, d, initial)
+    assert single_child_seen
+
+
+def test_reach_balanced_makes_no_length_pass(monkeypatch):
+    g, td = gen_ktree(KTreeSpec(n=24, k=2, seed=2))
+    tree = build_balanced(g, td).augment({1, 24})
+    d = 1 << (g.n - 1).bit_length()
+    expected = len(LeafSeq(tree, tree.root, d))
+
+    def no_length_pass(*args):
+        raise AssertionError("LeafSeq.block_length called")
+    monkeypatch.setattr(LeafSeq, "block_length", no_length_pass)
+    for eng in ("auto", "loop"):
+        rep = reach_balanced(g, tree, 1, 24, engine=eng, report=True)
+        assert rep.iterations == expected
+
+
+def test_reach_balanced_builds_no_parent_map(monkeypatch):
+    g, td = gen_ktree(KTreeSpec(n=24, k=2, seed=2))
+    tree = build_balanced(g, td).augment({1, 24})
+    want = reach_balanced(g, tree, 1, 24, report=True)
+
+    def no_parent_map(*args):
+        raise AssertionError("parent map rebuilt")
+    monkeypatch.setattr(TreeDecomp, "parent_map", no_parent_map)
+    monkeypatch.setattr(BalancedTD, "parent_map", no_parent_map)
+    monkeypatch.setattr(engine, "ancestor_vertices", no_parent_map)
+    assert reach_balanced(g, tree, 1, 24, report=True) == want
 
 
 def test_reach_balanced_requires_root_bag():

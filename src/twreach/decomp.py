@@ -51,29 +51,30 @@ def _check_tree(ids: set[int], edges: set[frozenset[int]]) -> None:
         a, b = tuple(e)
         adj[a].append(b)
         adj[b].append(a)
-    start = next(iter(ids))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(ids):
+    if len(_tree_search(adj, next(iter(ids)))[1]) != len(ids):
         raise TdFormatError("decomposition edges do not connect all nodes")
 
 
 class Rooting(NamedTuple):
     """A decomposition's tree rooted at its smallest node id, in preorder.
 
-    The subtree of node x is the preorder interval [pre[x], end[x]); `top[v]`
-    is the preorder index of the first bag holding vertex v.
+    `order` lists the node ids in preorder; the subtree of node x is the
+    preorder interval [pre[x], end[x]); `top[v]` is the preorder index of the
+    first bag holding vertex v. `sparse[k][i]` is the smallest id among
+    order[i : i + 2**k], so `first_id` answers a range minimum in O(1).
     """
+    order: list[int]
     pre: dict[int, int]
     end: dict[int, int]
     children: dict[int, list[int]]
     top: dict[int, int]
+    sparse: list[list[int]]
+
+    def first_id(self, lo: int, hi: int) -> int:
+        """Smallest node id at preorder positions lo..hi-1 (lo < hi)."""
+        k = (hi - lo).bit_length() - 1
+        row = self.sparse[k]
+        return min(row[lo], row[hi - (1 << k)])
 
 
 class TreeDecomp:
@@ -132,7 +133,11 @@ class TreeDecomp:
         for i, x in enumerate(order):
             for v in self.bags[x]:
                 top.setdefault(v, i)
-        return Rooting(pre, end, children, top)
+        sparse = [order]
+        while 2 << (len(sparse) - 1) <= len(order):
+            prev, half = sparse[-1], 1 << (len(sparse) - 1)
+            sparse.append(list(map(min, prev, prev[half:])))
+        return Rooting(order, pre, end, children, top, sparse)
 
     def parent_map(self) -> dict[int, int | None]:
         if self.root is None:
@@ -167,9 +172,6 @@ class TreeDecomp:
             for y in children[x]:
                 stack.append((y, d + 1))
         return depth
-
-    def rooted_at(self, root: int) -> "TreeDecomp":
-        return TreeDecomp(self.bags, [tuple(e) for e in self.edges], root=root)
 
     def augment(self, s: Iterable[int]) -> "TreeDecomp":
         """Every bag replaced by bag union s. Preserves validity."""
@@ -285,34 +287,28 @@ def validate_td(g: DiGraph, t: TreeDecomp, vertices: Iterable[int] | None = None
         missing = sorted(target - covered) or sorted(covered - target)
         witness = f"vertex coverage mismatch, e.g. vertex {missing[0]}"
 
+    # occ[v]: mask of the bags (by position) that hold v
+    occ: dict[int, int] = {}
+    for i, b in enumerate(t.bags.values()):
+        for v in b:
+            occ[v] = occ.get(v, 0) | 1 << i
     covers_edges = True
-    bag_sets = {i: set(b) for i, b in t.bags.items()}
     for u, v in sorted(g.und_edges):
-        if u not in target or v not in target:
-            continue
-        if not any(u in b and v in b for b in bag_sets.values()):
+        if u in target and v in target and not occ.get(u, 0) & occ.get(v, 0):
             covers_edges = False
             if witness is None:
                 witness = f"edge ({u}, {v}) not covered by any bag"
             break
 
+    # the bags holding v induce a subforest, connected iff it has one edge
+    # fewer than nodes
+    links: dict[int, int] = {}
+    for a, b in t.edges:
+        for v in set(t.bags[a]).intersection(t.bags[b]):
+            links[v] = links.get(v, 0) + 1
     connected = True
-    occ: dict[int, list[int]] = {}
-    for i, b in t.bags.items():
-        for v in b:
-            occ.setdefault(v, []).append(i)
     for v in sorted(occ):
-        nodes = set(occ[v])
-        start = occ[v][0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in t.neighbors(x):
-                if y in nodes and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != nodes:
+        if occ[v].bit_count() != links.get(v, 0) + 1:
             connected = False
             if witness is None:
                 witness = f"occurrences of vertex {v} are not connected in the tree"
@@ -435,20 +431,24 @@ class _Struct:
         self.children = children
 
 
+def _tree_search(adj, start: int, avoid: int | None = None):
+    """(parent map, discovery order) of the nodes of the tree `adj` reachable
+    from start without entering `avoid`; parents come before their children."""
+    parent: dict[int, int | None] = {start: None}
+    order = [start]
+    for x in order:
+        for y in adj[x]:
+            if y not in parent and y != avoid:
+                parent[y] = x
+                order.append(y)
+    return parent, order
+
+
 def _centroid(nodes: set[int], adj) -> int:
     """Node whose removal leaves components of at most len(nodes)/2 nodes."""
     root = min(nodes)
     total = len(nodes)
-    parent: dict[int, int | None] = {root: None}
-    order = [root]
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-                stack.append(y)
+    parent, order = _tree_search(adj, root)
     size = {x: 1 for x in nodes}
     for x in reversed(order):
         if parent[x] is not None:
@@ -463,61 +463,21 @@ def _centroid(nodes: set[int], adj) -> int:
     return best
 
 
-def _components(nodes: set[int], adj, removed: int) -> list[set[int]]:
-    left = nodes - {removed}
-    comps = []
-    seen: set[int] = set()
-    for s in sorted(left):
-        if s in seen:
-            continue
-        comp = {s}
-        seen.add(s)
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in left and y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
-
-
-def _tree_path(nodes: set[int], adj, a: int, b: int) -> list[int]:
-    parent: dict[int, int | None] = {a: None}
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        if x == b:
-            break
-        for y in adj[x]:
-            if y in nodes and y not in parent:
-                parent[y] = x
-                stack.append(y)
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def _choose_split(nodes: set[int], adj, anchors) -> int:
     """Split node: centroid normally, a balanced path node with two anchors."""
     if len(anchors) == 2:
         a1, a2 = anchors[0][0], anchors[1][0]
         if a1 == a2:
             return a1
-        path = _tree_path(nodes, adj, a1, a2)
+        parent, _ = _tree_search(adj, a1)
+        path = [a2]
+        while path[-1] != a1:
+            path.append(parent[path[-1]])
+        path.reverse()
         # weight of each path node = itself plus subtrees hanging off the path
         path_set = set(path)
-        weights = []
-        for p in path:
-            w = 1
-            for y in adj[p]:
-                if y in nodes and y not in path_set:
-                    w += len(_collect(nodes - path_set, adj, y))
-            weights.append(w)
+        weights = [1 + sum(len(_tree_search(adj, y, p)[1]) for y in adj[p] if y not in path_set)
+                   for p in path]
         total = sum(weights)
         best_i, best_cost = 0, None
         prefix = 0
@@ -528,18 +488,6 @@ def _choose_split(nodes: set[int], adj, anchors) -> int:
             prefix += w
         return path[best_i]
     return _centroid(nodes, adj)
-
-
-def _collect(allowed: set[int], adj, start: int) -> set[int]:
-    comp = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y in allowed and y not in comp:
-                comp.add(y)
-                stack.append(y)
-    return comp
 
 
 def _build_struct(t: TreeDecomp, nodes: set[int],
@@ -556,11 +504,12 @@ def _build_rec(t, nodes, adj, anchors) -> _Struct:
         return _Struct(frozenset(t.bag(only)) | anchor_union, [])
     c = _choose_split(nodes, adj, anchors)
     root_bag = frozenset(t.bag(c)) | anchor_union
-    comps = sorted(_components(nodes, adj, c), key=min)
+    # one component of the tree minus c per neighbour of c, attached there
+    branches = sorted(((set(_tree_search(adj, y, c)[1]), y) for y in adj[c]),
+                      key=lambda item: min(item[0]))
     subtrees = []
-    for comp in comps:
+    for comp, attach in branches:
         inherited = [(a, bag) for a, bag in anchors if a != c and a in comp]
-        attach = next(y for y in adj[c] if y in comp)
         sub_anchors = inherited + [(attach, frozenset(t.bag(c)))]
         assert len(sub_anchors) <= 2
         sub_adj = {x: [y for y in adj[x] if y in comp] for x in comp}

@@ -313,12 +313,8 @@ def reach(g: DiGraph, t: TreeDecomp, u: int, v: int,
         raise ValueError(f"invalid decomposition: {rep.witness}")
     if not (1 <= u <= g.n and 1 <= v <= g.n):
         raise ValueError("query vertex out of range")
-    comps = undirected_components(g)
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for x in comp:
-            comp_of[x] = i
-    if comp_of[u] != comp_of[v]:
+    # the graph caches its components, so build_balanced does not search again
+    if not any(u in comp and v in comp for comp in undirected_components(g)):
         return False, ReachReport(reachable=False, iterations=0, relax_work=0,
                                   peak_bits=0, n=g.n, d=0, width_balanced=-1,
                                   depth_balanced=-1, engine="short-circuit")

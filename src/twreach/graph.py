@@ -2,7 +2,10 @@
 
 Vertices are 1-based everywhere in the public API and in file formats.
 A VertexSet is a sorted, duplicate-free tuple of vertex ids, so set
-equality is tuple equality.
+equality is tuple equality. Connectivity works on int vertex masks (bit v
+for vertex v): `grow` adds a whole BFS layer per step by OR-ing the cached
+neighbour masks `DiGraph.und_mask` of the frontier, and every component
+search of the package goes through it.
 """
 from __future__ import annotations
 
@@ -72,9 +75,74 @@ class DiGraph:
         return [sorted(s) for s in adj]
 
     @cached_property
+    def und_mask(self) -> list[int]:
+        """Undirected neighbour masks: bit y of und_mask[x] is set iff x and y are adjacent."""
+        return [sum(1 << y for y in ys) for ys in self.und_adj]
+
+    @cached_property
+    def vertices_mask(self) -> int:
+        """Mask of the vertices 1..n."""
+        return (1 << (self.n + 1)) - 2
+
+    @cached_property
+    def components(self) -> tuple[VertexSet, ...]:
+        """Undirected components sorted by smallest member, computed once per graph."""
+        return tuple(_split(self, self.vertices_mask))
+
+    @cached_property
     def und_edges(self) -> frozenset[tuple[int, int]]:
         """Undirected edge set as (min, max) pairs, self-loops dropped."""
         return frozenset((min(u, v), max(u, v)) for u, v in self.arcs if u != v)
+
+
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """Int mask with bit v set for every vertex v given."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def members(mask: int) -> VertexSet:
+    """The vertices of a mask, ascending."""
+    bits = bin(mask)[:1:-1]  # bits[i] is bit i
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return tuple(out)
+
+
+def grow(nbr: list[int], alive: int, seed: int, targets: int = 0, cap: int = -1) -> int:
+    """Mask of the vertices joined to `seed` (a mask) inside the `alive` mask.
+
+    `nbr[x]` is the neighbour mask of x. The search adds one BFS layer at a
+    time; with cap >= 0 it stops as soon as the mask holds more than `cap`
+    vertices of `targets`, so the caller sees a partial, already too heavy
+    component.
+    """
+    comp = frontier = seed
+    while frontier:
+        if cap >= 0 and (comp & targets).bit_count() > cap:
+            break
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= nbr[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & alive & ~comp
+        comp |= frontier
+    return comp
+
+
+def _split(g: DiGraph, alive: int) -> list[VertexSet]:
+    comps = []
+    while alive:
+        comp = grow(g.und_mask, alive, alive & -alive)
+        alive ^= comp
+        comps.append(members(comp))
+    return comps
 
 
 def undirected_components(g: DiGraph, removed: Iterable[int] = ()) -> list[VertexSet]:
@@ -82,46 +150,20 @@ def undirected_components(g: DiGraph, removed: Iterable[int] = ()) -> list[Verte
 
     Components are returned sorted by their smallest member.
     """
-    gone = bytearray(g.n + 1)
-    for v in removed:
-        gone[v] = 1
-    seen = bytearray(g.n + 1)
-    adj = g.und_adj
-    comps: list[VertexSet] = []
-    for s in range(1, g.n + 1):
-        if gone[s] or seen[s]:
-            continue
-        comp = [s]
-        seen[s] = 1
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not gone[y] and not seen[y]:
-                    seen[y] = 1
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    gone = vertex_mask(removed)
+    if not gone:
+        return list(g.components)
+    return _split(g, g.vertices_mask & ~gone)
 
 
 def component_containing(g: DiGraph, z: Iterable[int], r: int) -> VertexSet:
     """Vertex set of the undirected component of g minus z that contains r."""
-    zset = set(z)
-    if r in zset:
+    gone = vertex_mask(z)
+    if gone >> r & 1:
         raise ValueError(f"representative {r} lies inside the removed set")
     if not (1 <= r <= g.n):
         raise ValueError(f"vertex {r} out of range")
-    adj = g.und_adj
-    seen = {r}
-    stack = [r]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in zset and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return tuple(sorted(seen))
+    return members(grow(g.und_mask, g.vertices_mask & ~gone, 1 << r))
 
 
 def bfs_reachable(g: DiGraph, u: int, v: int) -> bool:

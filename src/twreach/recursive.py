@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomp import BalancedTD, TreeDecomp, _Struct, _build_struct, materialize_struct
-from .graph import DiGraph, VertexSet, component_containing, undirected_components, vset
+from .graph import (DiGraph, VertexSet, component_containing, grow, undirected_components,
+                    vertex_mask, vset)
 from .separator import SeparatorResult, sep
 
 
@@ -57,29 +58,18 @@ def rd_children(ctx: RDContext, node: RDNode) -> list[RDNode]:
         raise ValueError("malformed node: representative inside its boundary")
     comp = ctx.component_of(node)
     zp = _z_prime(ctx, node, comp)
-    remaining = set(comp) - zp
+    nbr = ctx.g.und_mask
+    alive = vertex_mask(comp) & ~vertex_mask(zp)
     children = []
-    adj = ctx.g.und_adj
-    seen: set[int] = set()
-    for s in sorted(remaining):
-        if s in seen:
-            continue
-        sub = {s}
-        seen.add(s)
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in remaining and y not in seen:
-                    seen.add(y)
-                    sub.add(y)
-                    stack.append(y)
-        if 2 * len(sub) > len(comp):
+    while alive:
+        low = alive & -alive
+        sub = grow(nbr, alive, low)
+        alive ^= sub
+        if 2 * sub.bit_count() > len(comp):
             # sep(comp) halves comp whenever the decomposition is valid; this
             # also bounds the recursion on inputs that skipped validation
             raise ValueError("invalid decomposition: a separator bag does not halve its component")
-        boundary = vset(v for v in zp if any(y in sub for y in adj[v]))
-        children.append(RDNode(boundary, min(sub)))
+        children.append(RDNode(vset(v for v in zp if nbr[v] & sub), low.bit_length() - 1))
     return children
 
 

@@ -28,7 +28,9 @@ almost no graph search, by two facts about the branches of T minus a node x
 
 Accepting by fact 1 is exact and skipping by fact 2 only drops bags that
 would be rejected, so the bag returned is the one the exhaustive scan over
-ascending ids returns.
+ascending ids returns. Every bag the scan evaluates leaves the region, so the
+next one is the smallest id left in it: one range-minimum query
+(`Rooting.first_id`) per preorder interval of the region.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .decomp import TreeDecomp
-from .graph import DiGraph, VertexSet, vset
+from .graph import DiGraph, VertexSet, grow, members, vertex_mask, vset
 
 
 @dataclass(frozen=True)
@@ -49,35 +51,20 @@ class SeparatorResult:
 def is_balanced_separator(g: DiGraph, s, u, starts=None) -> bool:
     """True iff every component of g minus s has at most |u|/2 vertices of u.
 
-    With `starts`, only the components holding those vertices are searched.
+    `u` is an iterable of vertices or their mask. With `starts`, only the
+    components holding those vertices are searched.
     """
-    uset = set(u)
-    if not uset:
-        return True
-    limit = len(uset)  # compare 2*count <= limit
-    gone = bytearray(g.n + 1)
-    for v in s:
-        gone[v] = 1
-    seen = bytearray(g.n + 1)
-    adj = g.und_adj
-    for start in range(1, g.n + 1) if starts is None else starts:
-        if gone[start] or seen[start]:
-            continue
-        count = 1 if start in uset else 0
-        seen[start] = 1
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not gone[y] and not seen[y]:
-                    seen[y] = 1
-                    if y in uset:
-                        count += 1
-                        if 2 * count > limit:
-                            return False
-                    stack.append(y)
-        if 2 * count > limit:
-            return False
+    umask = u if isinstance(u, int) else vertex_mask(u)
+    cap = umask.bit_count() // 2  # a component is too heavy past cap targets
+    alive = g.vertices_mask & ~vertex_mask(s)
+    nbr = g.und_mask
+    for start in members(umask) if starts is None else starts:
+        bit = 1 << start
+        if alive & bit:
+            comp = grow(nbr, alive, bit, umask, cap)
+            if (comp & umask).bit_count() > cap:
+                return False
+            alive ^= comp
     return True
 
 
@@ -99,12 +86,13 @@ def sep(g: DiGraph, t: TreeDecomp, u) -> SeparatorResult:
     keyed = sorted((rooting.top.get(v, len(pre)), v) for v in targets)
     keys = [k for k, _ in keyed]
     tset = set(targets)
-    lo, hi = 0, len(pre)  # the scan keeps to this preorder interval
-    cut: list[tuple[int, int]] = []  # and skips these ones
-    for node in t.node_ids():
+    umask = vertex_mask(targets)
+    region = [(0, len(pre))]  # the scan keeps to these preorder intervals
+    while region:
+        # every bag scanned leaves the region, so the next one in ascending id
+        # is the region's smallest
+        node = min(rooting.first_id(a, b) for a, b in region)
         p = pre[node]
-        if not lo <= p < hi or any(a <= p < b for a, b in cut):
-            continue
         bag = t.bags[node]
         # targets in the parent branch: top(v) outside subtree(node), v not in bag
         i, j = bisect_left(keys, p), bisect_left(keys, end[node])
@@ -120,10 +108,11 @@ def sep(g: DiGraph, t: TreeDecomp, u) -> SeparatorResult:
             if 2 * outside <= total:
                 return SeparatorResult(node, bag, total)
             starts = [v for _, v in keyed[:i] + keyed[j:] if v not in bag]
-        if is_balanced_separator(g, bag, tset, starts):
+        if is_balanced_separator(g, bag, umask, starts):
             return SeparatorResult(node, bag, total)
-        if heavy is None:
-            cut.append((p, end[node]))
-        else:
-            lo, hi = heavy
+        if heavy is None:  # cut out subtree(node)
+            pieces = [piece for a, b in region for piece in ((a, min(b, p)), (max(a, end[node]), b))]
+        else:  # keep to the heavy child's subtree
+            pieces = [(max(a, heavy[0]), min(b, heavy[1])) for a, b in region]
+        region = [(a, b) for a, b in pieces if a < b]
     raise RuntimeError("no bag separates the target set; decomposition is invalid")

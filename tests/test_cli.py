@@ -170,6 +170,20 @@ def test_bench_reps_limit(reps, capsys):
     assert captured.out == "" and "--reps must be in 1..100" in captured.err
 
 
+def test_bench_grid_size_limit(capsys):
+    assert cli.main(["bench", "--grid", f"8:1,{cli.MAX_BENCH_N + 1}:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--grid sizes must be at most 8192" in captured.err
+
+
+def test_gen_ktree_size_limit(tmp_path, capsys):
+    gr, td = tmp_path / "k.gr", tmp_path / "k.td"
+    assert cli.main(["gen-ktree", "--n", str(cli.MAX_GEN_N + 1), "--k", "3",
+                     "--graph-out", str(gr), "--td-out", str(td)]) == 2
+    assert "--n must be at most 100000" in capsys.readouterr().err
+    assert not gr.exists() and not td.exists()
+
+
 def test_lseq_unrooted(tmp_path, capsys):
     td = tmp_path / "t.td"
     td.write_text("s td 1 2 2\nb 1 1 2\n")

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from twreach.decomp import (BalancedTD, TdFormatError, TreeDecomp,
+from twreach.decomp import (BalancedTD, TdFormatError, TreeDecomp, ValidityReport,
                             binarize_balance, parse_td, validate_td, write_td)
 from twreach.gen import KTreeSpec, gen_ktree
-from twreach.graph import DiGraph
+from twreach.graph import DiGraph, undirected_components
 from twreach.recursive import build_balanced
+
+from test_separator import _instances
 
 PATH_G = DiGraph(4, [(1, 2), (2, 3), (3, 4)])
 PATH_T = TreeDecomp({1: (1, 2), 2: (2, 3), 3: (3, 4)}, [(1, 2), (2, 3)], root=1)
@@ -73,6 +75,83 @@ def test_validate_vertex_subset():
     t = TreeDecomp({1: (1, 2)}, [])
     assert validate_td(g, t, vertices=(1, 2)).ok
     assert not validate_td(g, t).ok
+
+
+def _validate_all_bags(g, t, vertices=None):
+    """validate_td as an all-bags scan: each edge against every bag, a tree
+    search per vertex over the bags that hold it."""
+    target = set(vertices) if vertices is not None else set(range(1, g.n + 1))
+    covered = set().union(*t.bags.values())
+    covers_vertices = covered == target
+    witness = None
+    if not covers_vertices:
+        missing = sorted(target - covered) or sorted(covered - target)
+        witness = f"vertex coverage mismatch, e.g. vertex {missing[0]}"
+    covers_edges = True
+    for u, v in sorted(g.und_edges):
+        if u in target and v in target and not any(u in b and v in b for b in t.bags.values()):
+            covers_edges = False
+            witness = witness or f"edge ({u}, {v}) not covered by any bag"
+            break
+    connected = True
+    for v in sorted(covered):
+        nodes = {x for x, b in t.bags.items() if v in b}
+        start = min(nodes)
+        seen, stack = {start}, [start]
+        while stack:
+            for y in t.neighbors(stack.pop()):
+                if y in nodes and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if seen != nodes:
+            connected = False
+            witness = witness or f"occurrences of vertex {v} are not connected in the tree"
+            break
+    return ValidityReport(covers_vertices, covers_edges, connected, witness)
+
+
+def _damaged(t, n, rng):
+    """t with bag vertices dropped, or a vertex's occurrences split by a new leaf."""
+    bags = {x: set(b) for x, b in t.bags.items()}
+    edges = [tuple(e) for e in t.edges]
+    for _ in range(rng.randint(1, 2)):
+        x = rng.choice(sorted(bags))
+        if bags[x] and rng.random() < 0.5:
+            bags[x].discard(rng.choice(sorted(bags[x])))
+        else:
+            fresh = max(bags) + 1
+            bags[fresh] = {rng.randint(1, n)}
+            edges.append((x, fresh))
+    return TreeDecomp(bags, edges)
+
+
+def test_validate_matches_all_bags_scan():
+    rng = random.Random(99)
+    seen = set()
+    for g, t in _instances(random.Random(3)):
+        cases = [t, _damaged(t, g.n, rng), _damaged(t, g.n, rng)]
+        for case in cases:
+            comps = undirected_components(g)
+            for vertices in (None, comps[0], rng.sample(range(1, g.n + 1), rng.randint(0, g.n))):
+                want = _validate_all_bags(g, case, vertices)
+                assert validate_td(g, case, vertices) == want
+                seen.add((want.covers_vertices, want.covers_edges, want.connected_occurrences))
+    # every flag is seen failing
+    assert all(any(not flags[i] for flags in seen) for i in range(3))
+
+
+def test_rooting_range_minimum():
+    rng = random.Random(4)
+    for size in list(range(1, 18)) + [40, 100]:
+        ids = rng.sample(range(1, 4 * size + 1), size)
+        edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, size)]
+        rooting = TreeDecomp({x: () for x in ids}, edges).rooting
+        order = rooting.order
+        assert sorted(order) == sorted(ids) and order[0] == min(ids)
+        assert all(rooting.pre[x] == i for i, x in enumerate(order))
+        for lo in range(size):
+            for hi in range(lo + 1, size + 1):
+                assert rooting.first_id(lo, hi) == min(order[lo:hi])
 
 
 def test_parse_td_basic():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twreach.graph import (DiGraph, GraphFormatError, bfs_reachable,
-                           component_containing, parse_graph,
-                           undirected_components, vset, write_graph)
+                           component_containing, grow, members, parse_graph,
+                           undirected_components, vertex_mask, vset, write_graph)
 
 
 def test_parse_simple():
@@ -125,6 +125,44 @@ def test_component_containing_matches_components():
         for comp in comps:
             r = rng.choice(comp)
             assert component_containing(g, z, r) == comp
+
+
+def _mask_cases(rng):
+    """Graphs with self-loops and isolated vertices, n from 0, and removed sets
+    from none to every vertex."""
+    for n in (0, 1):
+        g = DiGraph(n, [(1, 1)] * n)
+        yield g, set()
+        yield g, set(range(1, n + 1))
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        isolated = set(rng.sample(range(1, n + 1), rng.randint(0, n // 3)))
+        live = [v for v in range(1, n + 1) if v not in isolated] or [1]
+        arcs = [(rng.choice(live), rng.choice(live)) for _ in range(rng.randint(0, 2 * n))]
+        arcs += [(v, v) for v in rng.sample(range(1, n + 1), rng.randint(0, n))]
+        g = DiGraph(n, arcs)
+        yield g, set(rng.sample(range(1, n + 1), rng.choice([0, rng.randint(0, n), n])))
+
+
+def test_mask_search_matches_bruteforce():
+    rng = random.Random(8)
+    for g, removed in _mask_cases(rng):
+        want = _brute_partition(g, removed)
+        assert undirected_components(g, removed) == want
+        alive = vertex_mask(range(1, g.n + 1)) & ~vertex_mask(removed)
+        assert g.vertices_mask == vertex_mask(range(1, g.n + 1))
+        for comp in want:
+            assert members(vertex_mask(comp)) == comp
+            r = rng.choice(comp)
+            assert grow(g.und_mask, alive, 1 << r) == vertex_mask(comp)
+            assert component_containing(g, removed, r) == comp
+            # with a cap, the search stops at the first BFS layer that holds
+            # more than cap targets, or else returns the whole component
+            targets = vertex_mask(rng.sample(comp, rng.randint(0, len(comp))))
+            cap = rng.randint(0, len(comp))
+            part = grow(g.und_mask, alive, 1 << r, targets, cap)
+            assert part & ~vertex_mask(comp) == 0 and part >> r & 1
+            assert part == vertex_mask(comp) or (part & targets).bit_count() > cap
 
 
 def test_bfs_reachable_basic():

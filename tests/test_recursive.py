@@ -7,10 +7,12 @@ import pytest
 from twreach import separator
 from twreach.decomp import TreeDecomp, validate_td, write_td
 from twreach.gen import KTreeSpec, gen_ktree
-from twreach.graph import DiGraph, undirected_components
+from twreach.graph import DiGraph, undirected_components, vset
 from twreach.recursive import (RDContext, RDNode, build_balanced,
                                build_hat_decomposition, hat_bag,
                                materialize_rd, rd_children)
+
+from test_separator import _instances
 
 PATH_G = DiGraph(4, [(1, 2), (2, 3), (3, 4)])
 PATH_T = TreeDecomp({1: (1, 2), 2: (2, 3), 3: (3, 4)}, [(1, 2), (2, 3)], root=1)
@@ -143,7 +145,8 @@ def test_build_balanced_invalid_decomposition_raises():
 
 def test_balanced_trees_pinned():
     # SHA-1 prefixes of the balanced trees of the reference k=3, seed=7 instances
-    for n, prefix in ((64, "454c72575bec"), (256, "9682e402dd16"), (1024, "95db2ee4d4aa")):
+    for n, prefix in ((64, "454c72575bec"), (256, "9682e402dd16"), (1024, "95db2ee4d4aa"),
+                      (2048, "b79f0596ebeb"), (4096, "4d9b40735546")):
         g, td = gen_ktree(KTreeSpec(n=n, k=3, seed=7))
         text = write_td(build_balanced(g, td))
         assert hashlib.sha1(text.encode()).hexdigest()[:12] == prefix, n
@@ -162,6 +165,64 @@ def test_balancing_needs_few_separator_searches(monkeypatch):
     g, td = gen_ktree(KTreeSpec(n=256, k=3, seed=7))
     build_balanced(g, td)
     assert 0 < len(calls) <= 3000
+
+
+def _rd_children_by_lists(ctx, node):
+    """rd_children with the component search on adjacency lists, one edge at a time."""
+    comp = ctx.component_of(node)
+    zp = set(node.z) | set(ctx.sep_of(node.z).separator) | set(ctx.sep_of(comp).separator)
+    remaining = set(comp) - zp
+    adj = ctx.g.und_adj
+    children, seen = [], set()
+    for s in sorted(remaining):
+        if s in seen:
+            continue
+        sub, stack = {s}, [s]
+        seen.add(s)
+        while stack:
+            for y in adj[stack.pop()]:
+                if y in remaining and y not in seen:
+                    seen.add(y)
+                    sub.add(y)
+                    stack.append(y)
+        if 2 * len(sub) > len(comp):
+            raise ValueError("invalid decomposition")
+        children.append(RDNode(vset(v for v in zp if any(y in sub for y in adj[v])), min(sub)))
+    return children
+
+
+def _rd_outcome(fn, ctx, node):
+    try:
+        return fn(ctx, node)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__
+
+
+def test_rd_children_matches_adjacency_lists():
+    rng = random.Random(11)
+    outcomes = []
+    for g, td in _instances(random.Random(5)):
+        # a copy with one vertex dropped from one bag is usually invalid
+        bags = {x: set(b) for x, b in td.bags.items()}
+        x = rng.choice([x for x in bags if bags[x]])
+        bags[x].discard(rng.choice(sorted(bags[x])))
+        broken = TreeDecomp(bags, [tuple(e) for e in td.edges])
+        for t in (td, broken):
+            for comp in undirected_components(g)[:2]:
+                ctx = RDContext(g, t, min(comp))
+                nodes = [ctx.root()]
+                if t is td:
+                    nodes = [node for _, node, _ in materialize_rd(ctx)]
+                # and arbitrary boundaries, which need not come from a separator
+                for _ in range(3):
+                    z = vset(rng.sample(range(1, g.n + 1), rng.randint(0, g.n - 1)))
+                    nodes.append(RDNode(z, rng.choice([v for v in range(1, g.n + 1) if v not in z])))
+                for node in nodes:
+                    want = _rd_outcome(_rd_children_by_lists, ctx, node)
+                    assert _rd_outcome(rd_children, ctx, node) == want, node
+                    outcomes.append(want if isinstance(want, str) else "children")
+    assert outcomes.count("children") > 2000
+    assert outcomes.count("ValueError") > 10
 
 
 def test_sep_cache_consistency():

@@ -5,7 +5,7 @@ import pytest
 from twreach import recursive
 from twreach.decomp import TreeDecomp, validate_td
 from twreach.gen import KTreeSpec, gen_ktree
-from twreach.graph import DiGraph, undirected_components, vset
+from twreach.graph import DiGraph, undirected_components, vertex_mask, vset
 from twreach.recursive import build_balanced
 from twreach.separator import SeparatorResult, is_balanced_separator, sep
 
@@ -55,6 +55,21 @@ def test_is_balanced_separator_matches_bruteforce():
         s = rng.sample(range(1, n + 1), rng.randint(0, n))
         u = rng.sample(range(1, n + 1), rng.randint(0, n))
         assert is_balanced_separator(g, s, u) == _brute_is_separator(g, s, u)
+
+
+def test_is_balanced_separator_mask_targets_and_starts():
+    rng = random.Random(32)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        g = DiGraph(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(2 * n)])
+        s = rng.sample(range(1, n + 1), rng.randint(0, n))
+        u = rng.sample(range(1, n + 1), rng.randint(0, n))
+        starts = rng.sample(range(1, n + 1), rng.randint(0, n))
+        want = all(2 * len(set(c) & set(u)) <= len(u)
+                   for c in undirected_components(g, set(s)) if set(c) & set(starts))
+        assert is_balanced_separator(g, s, u, starts) == want
+        assert is_balanced_separator(g, s, vertex_mask(u), starts) == want
+        assert is_balanced_separator(g, s, vertex_mask(u)) == _brute_is_separator(g, s, u)
 
 
 def test_sep_first_qualifying_bag():

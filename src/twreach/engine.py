@@ -8,12 +8,14 @@ marked vertex).
 The production evaluator ("fast", also what the default "auto" runs) splits
 each block of the schedule by `LeafSeq.parts` and memoizes the outcome of a
 (subtree, budget, entry state) triple, which the schedule repeats massively.
-The same recursion returns each block's length, so a run makes no separate
-pass over the schedule, and the per-query set-up is linear in the tree: every
-node's scope (the bags on its root path) is one vertex mask, filled from its
-parent's in a single preorder pass. The literal iteration-by-iteration walk
-("loop") is kept as the reference the tests compare it with: both give
-bit-identical results and accounting.
+It is one local recursive function of `_Runner.run_fast`, with the child
+lists, scope sizes, step cache, `parts` and memo bound once per run. It also
+returns each block's length, so a run makes no separate pass over the
+schedule, and the per-query set-up is linear in the tree: every node's scope
+(the bags on its root path) is one vertex mask, filled from its parent's in a
+single preorder pass. The literal iteration-by-iteration walk ("loop") is
+kept as the reference the tests compare it with: both give bit-identical
+results and accounting.
 """
 from __future__ import annotations
 
@@ -154,6 +156,7 @@ class ReachReport:
     width_balanced: int
     depth_balanced: int
     engine: str
+    memo_entries: int = 0  # inner-block memo size when the walk ends; 0 for "loop"
 
 
 class _Runner:
@@ -177,6 +180,7 @@ class _Runner:
             if u != v:
                 self.succ_mask[u] |= 1 << v
         self._step_cache: dict[tuple[int, int], int] = {}
+        self.memo_entries = 0
 
     def step(self, f: int, prev: int) -> int:
         """One iteration: marks of the fresh vector scoped to leaf f."""
@@ -210,44 +214,51 @@ class _Runner:
         return state, iters, work
 
     def run_fast(self, t: int, d: int, initial: int) -> tuple[int, int, int]:
-        """Block-memoized walk, extensionally identical to run_loop."""
-        state, work, length = self._block(LeafSeq(self.tree, t, d), {}, t, d, initial)
-        return state, length, work
+        """Block-memoized walk, extensionally identical to run_loop.
 
-    def _block(self, seq: LeafSeq, memo: dict, t: int, d: int,
-               state: int) -> tuple[int, int, int]:
-        """(final state, work, length) of block (t, d) entered with `state`.
-
-        Inner blocks are memoized on (t, d, state). Leaf blocks are not: marks
-        at a fixed leaf are monotone, so a leaf block stops at the first
-        repeated state, after a few cached steps, and keeping them out makes
-        the memo about a third smaller. The memo table is an argument, not a
-        closure cell, so that it is freed as soon as run_fast returns.
+        Inner blocks are memoized on (t, d, state), and `memo_entries` keeps
+        the memo's final size. Leaf blocks are not: marks at a fixed leaf are
+        monotone, so a leaf block stops at the first repeated state, and
+        keeping them out makes the memo about a third smaller.
         """
-        if self.tree.is_leaf(t):
+        children = self.tree.ordered_children
+        size = self.scope_size
+        step = self.step
+        parts = LeafSeq(self.tree, t, d).parts
+        memo: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+
+        def block(t: int, d: int, state: int) -> tuple[int, int, int]:
+            """(final state, work, length) of block (t, d) entered with `state`."""
+            if not children[t]:
+                scope = size[t]
+                work = 0
+                for steps in range(1, d + 1):
+                    nxt = step(t, state)
+                    work += state.bit_count() * scope
+                    if nxt == state:
+                        break
+                    state = nxt
+                # the remaining repetitions leave the state unchanged
+                return state, work + (d - steps) * state.bit_count() * scope, d
+            key = (t, d, state)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
             work = 0
-            steps = 0
-            while steps < d:
-                nxt = self.step(t, state)
-                work += self.step_work(t, state)
-                steps += 1
-                if nxt == state:
-                    break
-                state = nxt
-            # the remaining repetitions leave the state unchanged
-            return state, work + (d - steps) * self.step_work(t, state), d
-        key = (t, d, state)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        work = 0
-        length = 0
-        for part in seq.parts(t, d):
-            state, w, n = self._block(seq, memo, *part, state)
-            work += w
-            length += n
-        out = memo[key] = (state, work, length)
-        return out
+            length = 0
+            for sub, c in parts(t, d):
+                state, w, n = block(sub, c, state)
+                work += w
+                length += n
+            out = memo[key] = (state, work, length)
+            return out
+
+        try:
+            state, work, length = block(t, d, initial)
+        finally:
+            del block  # the closure refers to itself: break the cycle
+        self.memo_entries = len(memo)
+        return state, length, work
 
 
 def _meter_layout(meter: SpaceMeter, cap: int, n_nodes: int, n: int, seq_len: int) -> None:
@@ -299,7 +310,8 @@ def reach_balanced(g: DiGraph, tree: BalancedTD, u: int, v: int,
         return reachable
     return ReachReport(reachable=reachable, iterations=iters, relax_work=work,
                        peak_bits=meter.peak_bits, n=n, d=d_total,
-                       width_balanced=width, depth_balanced=depth, engine=engine)
+                       width_balanced=width, depth_balanced=depth, engine=engine,
+                       memo_entries=runner.memo_entries)
 
 
 def reach(g: DiGraph, t: TreeDecomp, u: int, v: int,

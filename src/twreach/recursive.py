@@ -23,7 +23,7 @@ class RDNode:
 
 
 class RDContext:
-    """Immutable inputs of a recursive decomposition plus separator caches."""
+    """Immutable inputs of a recursive decomposition plus its separator and component caches."""
 
     def __init__(self, g: DiGraph, t: TreeDecomp, v0: int):
         if not (1 <= v0 <= g.n):
@@ -32,6 +32,7 @@ class RDContext:
         self.t = t
         self.v0 = v0
         self._sep_cache: dict[VertexSet, SeparatorResult] = {}
+        self._comp_cache: dict[RDNode, VertexSet] = {}
 
     def root(self) -> RDNode:
         return RDNode((), self.v0)
@@ -44,8 +45,11 @@ class RDContext:
         return hit
 
     def component_of(self, node: RDNode) -> VertexSet:
-        """Vertex set of the component of g minus node.z containing node.r."""
-        return component_containing(self.g, node.z, node.r)
+        """Component of g minus node.z containing node.r, searched once per node."""
+        hit = self._comp_cache.get(node)
+        if hit is None:
+            hit = self._comp_cache[node] = component_containing(self.g, node.z, node.r)
+        return hit
 
 
 def _z_prime(ctx: RDContext, node: RDNode, comp: VertexSet) -> set[int]:

@@ -233,7 +233,7 @@ def test_reach_short_circuit_components():
     ok, report = reach(g, td, 1, 4)
     assert not ok
     assert report.engine == "short-circuit"
-    assert report.iterations == 0 and report.peak_bits == 0
+    assert report.iterations == 0 and report.peak_bits == 0 and report.memo_entries == 0
 
 
 def test_reach_rejects_invalid_td():
@@ -275,5 +275,41 @@ def test_engine_selection():
     ok2, r2 = reach(g, td, 1, 8, engine="fast")
     assert (ok1, r1.iterations, r1.relax_work, r1.peak_bits) == \
         (ok2, r2.iterations, r2.relax_work, r2.peak_bits)
+    assert r1.memo_entries == 0 < r2.memo_entries
     with pytest.raises(ValueError, match="unknown engine"):
         reach(g, td, 1, 8, engine="quantum")
+
+
+@pytest.mark.parametrize("n, want, memo_entries", [
+    (64, (True, 3248704, 252592110, 320), 590),
+    (256, (False, 3292804608, 277226226976, 446), 3517),
+    (1024, (True, 1427311357952, 160666276580458, 625), 17123),
+])
+def test_bench_query_accounting(n, want, memo_entries):
+    # the gen.bench_one query at k=3, seed 7: a walk change that moves the
+    # accounting or which blocks are memoized fails here
+    spec = KTreeSpec(n=n, k=3, seed=7)
+    g, td = gen_ktree(spec)
+    rng = random.Random(spec.seed ^ 0x5EED)
+    u = rng.randrange(1, n + 1)
+    v = rng.randrange(1, n + 1)
+    _, rep = reach(g, td, u, v)
+    assert (rep.reachable, rep.iterations, rep.relax_work, rep.peak_bits) == want
+    assert rep.memo_entries == memo_entries
+
+
+def test_walk_follows_leafseq_parts(monkeypatch):
+    # with LeafSeq.parts reversing the children both walks change together,
+    # so the memoized walk keeps no copy of the interleave rule of its own
+    instances = []
+    for seed in range(10):
+        g, td = gen_ktree(KTreeSpec(n=12, k=2, seed=seed))
+        tree = build_balanced(g, td)
+        d = 1 << (g.n - 1).bit_length()
+        instances.append((_Runner(g, tree), tree.root, d, 1 << (1 + seed % g.n)))
+    plain = [runner.run_fast(*query) for runner, *query in instances]
+    original = LeafSeq.parts
+    monkeypatch.setattr(LeafSeq, "parts", lambda self, t, d: original(self, t, d)[::-1])
+    patched = [runner.run_fast(*query) for runner, *query in instances]
+    assert patched == [runner.run_loop(*query) for runner, *query in instances]
+    assert patched != plain

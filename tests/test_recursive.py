@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from twreach import separator
+from twreach import recursive, separator
 from twreach.decomp import TreeDecomp, validate_td, write_td
 from twreach.gen import KTreeSpec, gen_ktree
 from twreach.graph import DiGraph, undirected_components, vset
@@ -150,6 +150,18 @@ def test_balanced_trees_pinned():
         g, td = gen_ktree(KTreeSpec(n=n, k=3, seed=7))
         text = write_td(build_balanced(g, td))
         assert hashlib.sha1(text.encode()).hexdigest()[:12] == prefix, n
+
+
+def test_each_component_searched_once(monkeypatch):
+    calls = {"component_containing": 0, "rd_children": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(recursive, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(recursive, name, counted)
+    g, td = gen_ktree(KTreeSpec(n=128, k=3, seed=7))
+    build_balanced(g, td)
+    assert calls["component_containing"] == calls["rd_children"] > 0
 
 
 def test_balancing_needs_few_separator_searches(monkeypatch):

@@ -97,6 +97,7 @@ def cmd_reach(args) -> int:
         print(f"peak_bits: {report.peak_bits}")
         print(f"iterations: {report.iterations}")
         print(f"memo_entries: {report.memo_entries}")
+        print(f"step_entries: {report.step_entries}")
         print(f"width_balanced: {report.width_balanced}")
         print(f"depth_balanced: {report.depth_balanced}")
         print(f"n: {report.n}")

@@ -6,11 +6,13 @@ reachable from the previously marked set by at most one arc (or equal to a
 marked vertex).
 
 The production evaluator ("fast", also what the default "auto" runs) splits
-each block of the schedule by `LeafSeq.parts` and memoizes the outcome of a
-(subtree, budget, entry state) triple, which the schedule repeats massively.
-It is one local recursive function of `_Runner.run_fast`, with the child
-lists, scope sizes, step cache, `parts` and memo bound once per run. It also
-returns each block's length, so a run makes no separate pass over the
+each block of the schedule by `LeafSeq.parts`. Every block begins with one
+step at its subtree's first leaf (`LeafSeq.first_leaves`); the block's caller
+takes that step, and the outcome of an inner block is memoized on (subtree,
+budget, state after that step), which the schedule repeats massively. It is
+one local recursive function of `_Runner.run_fast`, with the child lists,
+scope sizes, step cache, `parts`, first leaves and memo bound once per run.
+It also returns each block's length, so a run makes no separate pass over the
 schedule, and the per-query set-up is linear in the tree: every node's scope
 (the bags on its root path) is one vertex mask, filled from its parent's in a
 single preorder pass. The literal iteration-by-iteration walk ("loop") is
@@ -76,44 +78,6 @@ def ancestor_vertices(tree: BalancedTD, t: int) -> AncestorOrder:
     return AncestorOrder(t, vset(acc))
 
 
-def pos(order: AncestorOrder, v: int) -> int:
-    """0-based rank of v in the fixed ordering; v must be in scope."""
-    lo, hi = 0, len(order.vertices)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if order.vertices[mid] < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo == len(order.vertices) or order.vertices[lo] != v:
-        raise ValueError(f"vertex {v} not in the scope of leaf {order.leaf}")
-    return lo
-
-
-class MarkVector:
-    """Reusable bit vector scoped to one leaf's ancestor ordering."""
-
-    def __init__(self, capacity: int, order: AncestorOrder | None = None):
-        self.capacity = capacity
-        self.order = order
-        self.bits = 0
-
-    def rebind(self, order: AncestorOrder) -> None:
-        if len(order.vertices) > self.capacity:
-            raise ValueError("scope exceeds vector capacity")
-        self.order = order
-        self.bits = 0
-
-    def mark(self, v: int) -> None:
-        self.bits |= 1 << pos(self.order, v)
-
-    def is_marked(self, v: int) -> bool:
-        return bool(self.bits >> pos(self.order, v) & 1)
-
-    def marked_vertices(self) -> VertexSet:
-        return tuple(v for i, v in enumerate(self.order.vertices) if self.bits >> i & 1)
-
-
 @dataclass(frozen=True)
 class GadView:
     """Ancestor-or-descendant subgraph of a tree node (test oracle only)."""
@@ -157,6 +121,7 @@ class ReachReport:
     depth_balanced: int
     engine: str
     memo_entries: int = 0  # inner-block memo size when the walk ends; 0 for "loop"
+    step_entries: int = 0  # step-cache size when the walk ends
 
 
 class _Runner:
@@ -216,49 +181,59 @@ class _Runner:
     def run_fast(self, t: int, d: int, initial: int) -> tuple[int, int, int]:
         """Block-memoized walk, extensionally identical to run_loop.
 
-        Inner blocks are memoized on (t, d, state), and `memo_entries` keeps
-        the memo's final size. Leaf blocks are not: marks at a fixed leaf are
-        monotone, so a leaf block stops at the first repeated state, and
-        keeping them out makes the memo about a third smaller.
+        Every block (t, d) begins with one step at t's first leaf, so its
+        outcome depends on the entry state only through that step. The caller
+        of a block takes that step (the first part of an inner block shares
+        its parent's, and run_fast takes the root's), and inner blocks are
+        memoized on (t, d, state after the step); `memo_entries` keeps the
+        memo's final size. Leaf blocks are not memoized: marks at a fixed leaf
+        are monotone, so a leaf block stops at the first repeated state.
         """
         children = self.tree.ordered_children
         size = self.scope_size
         step = self.step
-        parts = LeafSeq(self.tree, t, d).parts
+        seq = LeafSeq(self.tree, t, d)
+        parts = seq.parts
+        first = seq.first_leaves()
         memo: dict[tuple[int, int, int], tuple[int, int, int]] = {}
 
         def block(t: int, d: int, state: int) -> tuple[int, int, int]:
-            """(final state, work, length) of block (t, d) entered with `state`."""
+            """(final state, work, length) of block (t, d) after its first
+            step, entered with the state that step left."""
             if not children[t]:
                 scope = size[t]
-                work = 0
-                for steps in range(1, d + 1):
+                work = steps = 0
+                for steps in range(1, d):
                     nxt = step(t, state)
                     work += state.bit_count() * scope
                     if nxt == state:
                         break
                     state = nxt
                 # the remaining repetitions leave the state unchanged
-                return state, work + (d - steps) * state.bit_count() * scope, d
+                return state, work + (d - 1 - steps) * state.bit_count() * scope, d - 1
             key = (t, d, state)
             hit = memo.get(key)
             if hit is not None:
                 return hit
-            work = 0
-            length = 0
-            for sub, c in parts(t, d):
-                state, w, n = block(sub, c, state)
+            # the first part begins with this block's first step, already taken
+            (sub, c), *rest = parts(t, d)
+            state, work, length = block(sub, c, state)
+            for sub, c in rest:
+                f = first[sub]
+                work += state.bit_count() * size[f]
+                state, w, n = block(sub, c, step(f, state))
                 work += w
-                length += n
+                length += n + 1
             out = memo[key] = (state, work, length)
             return out
 
+        f = first[t]
         try:
-            state, work, length = block(t, d, initial)
+            state, work, length = block(t, d, step(f, initial))
         finally:
             del block  # the closure refers to itself: break the cycle
         self.memo_entries = len(memo)
-        return state, length, work
+        return state, length + 1, work + initial.bit_count() * size[f]
 
 
 def _meter_layout(meter: SpaceMeter, cap: int, n_nodes: int, n: int, seq_len: int) -> None:
@@ -311,7 +286,8 @@ def reach_balanced(g: DiGraph, tree: BalancedTD, u: int, v: int,
     return ReachReport(reachable=reachable, iterations=iters, relax_work=work,
                        peak_bits=meter.peak_bits, n=n, d=d_total,
                        width_balanced=width, depth_balanced=depth, engine=engine,
-                       memo_entries=runner.memo_entries)
+                       memo_entries=runner.memo_entries,
+                       step_entries=len(runner._step_cache))
 
 
 def reach(g: DiGraph, t: TreeDecomp, u: int, v: int,

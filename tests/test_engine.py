@@ -6,9 +6,9 @@ import pytest
 
 from twreach import engine
 from twreach.decomp import BalancedTD, TreeDecomp
-from twreach.engine import (AncestorOrder, MarkVector, MeterError, ReachReport,
-                            SpaceMeter, _Runner, ancestor_vertices, gad_view,
-                            pos, reach, reach_balanced)
+from twreach.engine import (AncestorOrder, MeterError, ReachReport, SpaceMeter,
+                            _Runner, ancestor_vertices, gad_view, reach,
+                            reach_balanced)
 from twreach.gen import KTreeSpec, gen_ktree
 from twreach.graph import DiGraph, bfs_reachable
 from twreach.recursive import build_balanced
@@ -50,22 +50,6 @@ def test_ancestor_vertices():
     assert ancestor_vertices(tree, 1) == AncestorOrder(1, (1, 2))
     with pytest.raises(ValueError, match="unknown"):
         ancestor_vertices(tree, 9)
-
-
-def test_pos_and_markvector():
-    order = AncestorOrder(3, (1, 2, 3, 4))
-    assert [pos(order, v) for v in (1, 2, 3, 4)] == [0, 1, 2, 3]
-    with pytest.raises(ValueError, match="not in the scope"):
-        pos(order, 5)
-    vec = MarkVector(4, order)
-    vec.mark(3)
-    vec.mark(1)
-    assert vec.is_marked(3) and not vec.is_marked(2)
-    assert vec.marked_vertices() == (1, 3)
-    vec.rebind(AncestorOrder(4, (1, 2, 5)))
-    assert vec.bits == 0
-    with pytest.raises(ValueError, match="capacity"):
-        MarkVector(1).rebind(order)
 
 
 def test_gad_view():
@@ -276,14 +260,16 @@ def test_engine_selection():
     assert (ok1, r1.iterations, r1.relax_work, r1.peak_bits) == \
         (ok2, r2.iterations, r2.relax_work, r2.peak_bits)
     assert r1.memo_entries == 0 < r2.memo_entries
+    # the memoized walk steps only at (leaf, state) pairs the literal walk meets
+    assert 0 < r2.step_entries <= r1.step_entries
     with pytest.raises(ValueError, match="unknown engine"):
         reach(g, td, 1, 8, engine="quantum")
 
 
 @pytest.mark.parametrize("n, want, memo_entries", [
-    (64, (True, 3248704, 252592110, 320), 590),
-    (256, (False, 3292804608, 277226226976, 446), 3517),
-    (1024, (True, 1427311357952, 160666276580458, 625), 17123),
+    (64, (True, 3248704, 252592110, 320), 353),
+    (256, (False, 3292804608, 277226226976, 446), 2028),
+    (1024, (True, 1427311357952, 160666276580458, 625), 9867),
 ])
 def test_bench_query_accounting(n, want, memo_entries):
     # the gen.bench_one query at k=3, seed 7: a walk change that moves the
@@ -313,3 +299,40 @@ def test_walk_follows_leafseq_parts(monkeypatch):
     patched = [runner.run_fast(*query) for runner, *query in instances]
     assert patched == [runner.run_loop(*query) for runner, *query in instances]
     assert patched != plain
+
+
+def _first_leaf_instances():
+    for seed in range(6):
+        g, td = gen_ktree(KTreeSpec(n=12, k=1 + seed % 3, seed=seed))
+        yield g, build_balanced(g, td)
+    rng = random.Random(3)
+    for _ in range(40):
+        yield _random_walk_instance(rng)
+
+
+def _walk_first_leaf(runner, t, d):
+    # run_fast takes the first step of block (t, d) before anything else
+    stepped = []
+    plain = runner.step
+    runner.step = lambda f, prev: stepped.append(f) or plain(f, prev)
+    try:
+        runner.run_fast(t, d, 1 << runner.g.n)
+    finally:
+        del runner.step
+    return stepped[0]
+
+
+def test_walk_first_leaf_is_schedule_start(monkeypatch):
+    instances = list(_first_leaf_instances())
+    assert any(len(tree.children(x)) == 1 for _, tree in instances for x in tree.bags)
+    original = LeafSeq.parts
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(LeafSeq, "parts",
+                                lambda self, t, d: original(self, t, d)[::-1])
+        for g, tree in instances:
+            runner = _Runner(g, tree)
+            for t in tree.node_ids():
+                for d in (1, 2, 4, 8, 16):
+                    assert _walk_first_leaf(runner, t, d) == \
+                        LeafSeq(tree, t, d).element(1), (patch, t, d)

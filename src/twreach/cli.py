@@ -220,7 +220,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (graph.GraphFormatError, decomp.TdFormatError, OSError, ValueError) as exc:
+    # build_balanced raises ValueError or RuntimeError on an invalid
+    # decomposition, should one ever get past validation
+    except (graph.GraphFormatError, decomp.TdFormatError, OSError, ValueError,
+            RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -109,7 +109,7 @@ def gad_view(g: DiGraph, tree: BalancedTD, t: int) -> GadView:
     return GadView(t, vset(verts), frozenset(arcs))
 
 
-@dataclass
+@dataclass(slots=True)
 class ReachReport:
     reachable: bool
     iterations: int
@@ -145,23 +145,26 @@ class _Runner:
             if u != v:
                 self.succ_mask[u] |= 1 << v
         self._step_cache: dict[tuple[int, int], int] = {}
-        self.memo_entries = 0
+        # one object per state value, so the step cache and the memo share
+        # each state instead of holding a fresh int per cache miss
+        self._states: dict[int, int] = {}
+        self.memo: dict[tuple[int, int, int], tuple[int, int, int]] = {}
 
     def step(self, f: int, prev: int) -> int:
         """One iteration: marks of the fresh vector scoped to leaf f."""
-        key = (f, prev)
-        hit = self._step_cache.get(key)
+        hit = self._step_cache.get((f, prev))
         if hit is not None:
             return hit
-        cur = prev
-        m = prev
+        cur = m = prev
         succ = self.succ_mask
         while m:
             low = m & -m
             cur |= succ[low.bit_length() - 1]
             m ^= low
         cur &= self.scope_mask[f]
-        self._step_cache[key] = cur
+        states = self._states
+        cur = states.setdefault(cur, cur)
+        self._step_cache[f, states.setdefault(prev, prev)] = cur
         return cur
 
     def step_work(self, f: int, prev: int) -> int:
@@ -185,8 +188,8 @@ class _Runner:
         outcome depends on the entry state only through that step. The caller
         of a block takes that step (the first part of an inner block shares
         its parent's, and run_fast takes the root's), and inner blocks are
-        memoized on (t, d, state after the step); `memo_entries` keeps the
-        memo's final size. Leaf blocks are not memoized: marks at a fixed leaf
+        memoized on (t, d, state after the step); `self.memo` keeps the
+        last run's memo. Leaf blocks are not memoized: marks at a fixed leaf
         are monotone, so a leaf block stops at the first repeated state.
         """
         children = self.tree.ordered_children
@@ -195,7 +198,7 @@ class _Runner:
         seq = LeafSeq(self.tree, t, d)
         parts = seq.parts
         first = seq.first_leaves()
-        memo: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+        memo = self.memo = {}
 
         def block(t: int, d: int, state: int) -> tuple[int, int, int]:
             """(final state, work, length) of block (t, d) after its first
@@ -232,7 +235,6 @@ class _Runner:
             state, work, length = block(t, d, step(f, initial))
         finally:
             del block  # the closure refers to itself: break the cycle
-        self.memo_entries = len(memo)
         return state, length + 1, work + initial.bit_count() * size[f]
 
 
@@ -286,7 +288,7 @@ def reach_balanced(g: DiGraph, tree: BalancedTD, u: int, v: int,
     return ReachReport(reachable=reachable, iterations=iters, relax_work=work,
                        peak_bits=meter.peak_bits, n=n, d=d_total,
                        width_balanced=width, depth_balanced=depth, engine=engine,
-                       memo_entries=runner.memo_entries,
+                       memo_entries=len(runner.memo),
                        step_entries=len(runner._step_cache))
 
 

@@ -5,14 +5,29 @@ component of the graph minus Z. Children are obtained by removing two further
 separators; relabeling nodes with their boundary-plus-separator bags yields a
 tree decomposition of width at most 6w+6 and depth at most ceil(log2 n), which
 is then binarized and balanced.
+
+For a node (Z, r) with component C (of the graph minus Z, containing r), the
+children are the components of C minus Z' = Z | sep(Z) | sep(C), and the hat
+bag is Z | ((sep(C) | sep(Z)) & C). Three exact facts spare most of that work
+without changing the tree:
+
+(a) If C lies inside its own separator bag sep(C), then C minus Z' is empty,
+    so the node is a leaf, and its hat bag is Z | C: sep(Z) is never needed.
+(b) sep({r}) is the first bag holding r, so a one-vertex component {r}
+    satisfies (a) whenever some bag holds r (always, on a valid
+    decomposition), with no `sep` call at all.
+(c) A child's component is the `sub` mask `rd_children` grew for it: every
+    neighbour of sub outside it lies in Z' (C's own outside neighbours are in
+    Z), and the child's boundary is exactly those that touch sub. So
+    `rd_children` records it, and only roots search the graph for theirs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .decomp import BalancedTD, TreeDecomp, _Struct, _build_struct, materialize_struct
-from .graph import (DiGraph, VertexSet, component_containing, grow, undirected_components,
-                    vertex_mask, vset)
+from .graph import (DiGraph, VertexSet, component_containing, grow, members,
+                    undirected_components, vertex_mask, vset)
 from .separator import SeparatorResult, sep
 
 
@@ -45,11 +60,20 @@ class RDContext:
         return hit
 
     def component_of(self, node: RDNode) -> VertexSet:
-        """Component of g minus node.z containing node.r, searched once per node."""
+        """Component of g minus node.z containing node.r. `rd_children` records
+        each child's (fact (c)), so `materialize_rd` searches for the root's only."""
         hit = self._comp_cache.get(node)
         if hit is None:
             hit = self._comp_cache[node] = component_containing(self.g, node.z, node.r)
         return hit
+
+    def settled(self, node: RDNode) -> bool:
+        """True iff the node's component lies inside its own separator bag:
+        the node is then a leaf with hat bag Z | C (facts (a) and (b))."""
+        comp = self.component_of(node)
+        if len(comp) == 1 and node.r in self.t.rooting.top:
+            return True
+        return set(comp) <= set(self.sep_of(comp).separator)
 
 
 def _z_prime(ctx: RDContext, node: RDNode, comp: VertexSet) -> set[int]:
@@ -73,7 +97,9 @@ def rd_children(ctx: RDContext, node: RDNode) -> list[RDNode]:
             # sep(comp) halves comp whenever the decomposition is valid; this
             # also bounds the recursion on inputs that skipped validation
             raise ValueError("invalid decomposition: a separator bag does not halve its component")
-        children.append(RDNode(vset(v for v in zp if nbr[v] & sub), low.bit_length() - 1))
+        child = RDNode(vset(v for v in zp if nbr[v] & sub), low.bit_length() - 1)
+        ctx._comp_cache[child] = members(sub)  # fact (c)
+        children.append(child)
     return children
 
 
@@ -81,20 +107,26 @@ def hat_bag(ctx: RDContext, node: RDNode) -> VertexSet:
     """Relabeling bag: Z union ((sep(comp) union sep(Z)) intersect comp)."""
     if node.r in node.z:
         raise ValueError("malformed node: representative inside its boundary")
+    if ctx.settled(node):
+        return vset(node.z + ctx.component_of(node))
     comp = set(ctx.component_of(node))
     seps = set(ctx.sep_of(comp).separator) | set(ctx.sep_of(node.z).separator)
     return vset(set(node.z) | (seps & comp))
 
 
 def materialize_rd(ctx: RDContext) -> list[tuple[int, RDNode, int | None]]:
-    """Full recursive decomposition as (id, node, parent-id) in preorder."""
+    """Full recursive decomposition as (id, node, parent-id) in preorder.
+
+    Settled nodes are leaves, so `rd_children` runs on the others only.
+    """
     out: list[tuple[int, RDNode, int | None]] = []
     stack: list[tuple[RDNode, int | None]] = [(ctx.root(), None)]
     while stack:
         node, parent = stack.pop()
         nid = len(out) + 1
         out.append((nid, node, parent))
-        stack.extend((child, nid) for child in reversed(rd_children(ctx, node)))
+        if not ctx.settled(node):
+            stack.extend((child, nid) for child in reversed(rd_children(ctx, node)))
     return out
 
 

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from twreach import cli
+from twreach import cli, engine
 from twreach.decomp import BalancedTD, parse_td, validate_td, write_td
 from twreach.gen import KTreeSpec, gen_ktree
 from twreach.graph import parse_graph
@@ -64,6 +64,58 @@ def test_separator_invalid_decomposition(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "bag_node" not in captured.out
     assert "invalid" in captured.err and "(2, 3)" in captured.err
+
+
+INVALID_TDS = {
+    # edge (2, 3) lies in no bag
+    "uncovered-edge": "s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 2\n",
+    # vertex 4 and edge (3, 4) lie in no bag
+    "uncovered-vertex": "s td 2 2 4\nb 1 1 2\nb 2 2 3\n1 2\n",
+    # vertex 2 is in bags 1 and 3 but not in bag 2 between them
+    "split-occurrences": "s td 3 2 4\nb 1 1 2\nb 2 3 4\nb 3 2 3\n1 2\n2 3\n",
+}
+COMMANDS = {
+    "validate": [],
+    "separator": ["--target", "1,2,3,4"],
+    "balance": ["--out", "b.td"],
+    "reach": ["--source", "1", "--target", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("case", sorted(INVALID_TDS))
+def test_invalid_decomposition_exits_2(tmp_path, capsys, command, case):
+    gr, td = tmp_path / "g.gr", tmp_path / "t.td"
+    gr.write_text(PATH_GR)
+    td.write_text(INVALID_TDS[case])
+    extra = [str(tmp_path / a) if a == "b.td" else a for a in COMMANDS[command]]
+    assert cli.main([command, "--graph", str(gr), "--td", str(td)] + extra) == 2
+    out = capsys.readouterr().out
+    assert not any(word in out for word in ("bag_node", "nodes:", "REACHABLE"))
+    assert not (tmp_path / "b.td").exists()
+
+
+@pytest.mark.parametrize("command", ["balance", "reach"])
+@pytest.mark.parametrize("gr_text, td_text, error", [
+    # vertex 4 is in no bag: the recursion keeps the whole component
+    ("p dgr 4 6\n1 2\n2 1\n1 3\n3 1\n3 4\n4 3\n",
+     "s td 3 2 4\nb 1 1 2\nb 2 1 3\nb 3 3\n1 2\n2 3\n", "halve"),
+    # vertex 3 is in no bag: no bag separates the one-vertex component {3}
+    ("p dgr 3 2\n1 2\n2 3\n", "s td 1 2 3\nb 1 1 2\n", "no bag separates"),
+], ids=["ValueError", "RuntimeError"])
+def test_balancing_error_exits_2(tmp_path, capsys, monkeypatch, command, gr_text, td_text,
+                                 error):
+    # with validation bypassed, build_balanced's ValueError or RuntimeError
+    # still ends in exit 2
+    ok = validate_td(parse_graph(PATH_GR), parse_td(PATH_TD))
+    monkeypatch.setattr(cli.decomp, "validate_td", lambda g, t: ok)
+    monkeypatch.setattr(engine, "validate_td", lambda g, t: ok)
+    gr, td = tmp_path / "g.gr", tmp_path / "t.td"
+    gr.write_text(gr_text)
+    td.write_text(td_text)
+    extra = [str(tmp_path / a) if a == "b.td" else a for a in COMMANDS[command]]
+    assert cli.main([command, "--graph", str(gr), "--td", str(td)] + extra) == 2
+    assert error in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target", ["999", "0", "1,5"])

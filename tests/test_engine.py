@@ -260,6 +260,7 @@ def test_engine_selection():
     assert (ok1, r1.iterations, r1.relax_work, r1.peak_bits) == \
         (ok2, r2.iterations, r2.relax_work, r2.peak_bits)
     assert r1.memo_entries == 0 < r2.memo_entries
+    assert not hasattr(r1, "__dict__")  # reports keep their fields in slots
     # the memoized walk steps only at (leaf, state) pairs the literal walk meets
     assert 0 < r2.step_entries <= r1.step_entries
     with pytest.raises(ValueError, match="unknown engine"):
@@ -282,6 +283,26 @@ def test_bench_query_accounting(n, want, memo_entries):
     _, rep = reach(g, td, u, v)
     assert (rep.reachable, rep.iterations, rep.relax_work, rep.peak_bits) == want
     assert rep.memo_entries == memo_entries
+
+
+def test_walk_holds_one_object_per_state():
+    # the memo and the step cache share each state value instead of holding
+    # a fresh int per step-cache miss
+    for n, seed in ((64, 7), (256, 7), (90, 3)):
+        g, td = gen_ktree(KTreeSpec(n=n, k=3, seed=seed))
+        tree = build_balanced(g, td).augment({1, n})
+        d = 1 << (n - 1).bit_length()
+        scope = _Runner(g, tree).scope_mask[LeafSeq(tree, tree.root, d).element(1)]
+        # the first leaf's whole scope is a fixed point of the first step, so
+        # that step's result equals its (separately built) entry state
+        for initial in (1 << 1, (scope << 1) >> 1):
+            runner = _Runner(g, tree)
+            runner.run_fast(tree.root, d, initial)
+            held = [s for (_, _, s), (s2, _, _) in runner.memo.items() for s in (s, s2)]
+            held += [s for (_, p), s in runner._step_cache.items() for s in (p, s)]
+            assert runner.memo and len(set(held)) < len(held)
+            first = {}
+            assert all(first.setdefault(s, s) is s for s in held)
 
 
 def test_walk_follows_leafseq_parts(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from twreach import recursive, separator
 from twreach.decomp import TreeDecomp, validate_td, write_td
 from twreach.gen import KTreeSpec, gen_ktree
-from twreach.graph import DiGraph, undirected_components, vset
+from twreach.graph import DiGraph, component_containing, undirected_components, vset
 from twreach.recursive import (RDContext, RDNode, build_balanced,
                                build_hat_decomposition, hat_bag,
                                materialize_rd, rd_children)
@@ -161,7 +161,9 @@ def test_each_component_searched_once(monkeypatch):
         monkeypatch.setattr(recursive, name, counted)
     g, td = gen_ktree(KTreeSpec(n=128, k=3, seed=7))
     build_balanced(g, td)
-    assert calls["component_containing"] == calls["rd_children"] > 0
+    # each root's component is searched; every child's comes from rd_children
+    assert calls["component_containing"] == len(undirected_components(g))
+    assert calls["rd_children"] > 0
 
 
 def test_balancing_needs_few_separator_searches(monkeypatch):
@@ -177,6 +179,34 @@ def test_balancing_needs_few_separator_searches(monkeypatch):
     g, td = gen_ktree(KTreeSpec(n=256, k=3, seed=7))
     build_balanced(g, td)
     assert 0 < len(calls) <= 3000
+
+
+def test_balancing_settles_leaves_without_separator_work(monkeypatch):
+    calls = []
+    original = recursive.sep
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(recursive, "sep", counted)
+    g, td = gen_ktree(KTreeSpec(n=256, k=3, seed=7))
+    build_balanced(g, td)
+    # 406 calls when every node computed sep(Z) and sep(C)
+    assert 0 < len(calls) <= 120
+
+
+def test_one_vertex_component_outside_every_bag_raises():
+    # vertex 3 and edge (2, 3) lie in no bag; the root's separator leaves the
+    # one-vertex component {3}, which no bag can hold
+    g = DiGraph(3, [(1, 2), (2, 3)])
+    td = TreeDecomp({1: (1, 2)}, [])
+    with pytest.raises((ValueError, RuntimeError)):
+        build_balanced(g, td)
+    # the same with 3 also isolated: a one-vertex root component
+    g = DiGraph(3, [(1, 2)])
+    with pytest.raises((ValueError, RuntimeError)):
+        build_balanced(g, td)
 
 
 def _rd_children_by_lists(ctx, node):
@@ -242,3 +272,40 @@ def test_sep_cache_consistency():
     a = ctx.sep_of((3, 4))
     b = ctx.sep_of([4, 3, 3])
     assert a is b
+
+
+def _full_hat_decomposition(ctx):
+    """build_hat_decomposition without shortcuts: every node's component
+    searched in the graph, its children found on adjacency lists, and its hat
+    bag Z | ((sep(C) | sep(Z)) & C) computed in full."""
+    full = RDContext(ctx.g, ctx.t, ctx.v0)  # caches filled only from here
+    bags, edges = {}, []
+    stack = [(full.root(), None)]
+    while stack:
+        node, parent = stack.pop()
+        nid = len(bags) + 1
+        comp = set(component_containing(full.g, node.z, node.r))
+        seps = set(full.sep_of(comp).separator) | set(full.sep_of(node.z).separator)
+        bags[nid] = vset(set(node.z) | (seps & comp))
+        if parent is not None:
+            edges.append((parent, nid))
+        stack.extend((child, nid) for child in reversed(_rd_children_by_lists(full, node)))
+    return TreeDecomp(bags, edges, root=1)
+
+
+def _differential_instances():
+    for n, k, p in ((64, 3, 0.5), (128, 2, 0.2), (200, 4, 0.9), (256, 3, 0.5)):
+        yield gen_ktree(KTreeSpec(n=n, k=k, seed=7, arc_probability=p))
+    yield from _instances(random.Random(3))
+
+
+def test_hat_decomposition_matches_full_recursion(monkeypatch):
+    instances = list(_differential_instances())
+    for g, td in instances:
+        for comp in undirected_components(g):
+            ctx = RDContext(g, td, min(comp))
+            hat, want = build_hat_decomposition(ctx), _full_hat_decomposition(ctx)
+            assert (hat.bags, hat.edges, hat.root) == (want.bags, want.edges, want.root)
+    fast = [write_td(build_balanced(g, td)) for g, td in instances]
+    monkeypatch.setattr(recursive, "build_hat_decomposition", _full_hat_decomposition)
+    assert fast == [write_td(build_balanced(g, td)) for g, td in instances]

@@ -5,9 +5,10 @@ binary one of logarithmic depth at the cost of a constant factor in width.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .graph import DiGraph, VertexSet, vset
 
@@ -32,27 +33,38 @@ class ValidityReport:
         return self.covers_vertices and self.covers_edges and self.connected_occurrences
 
 
-def _check_tree(ids: set[int], edges: set[frozenset[int]]) -> None:
+def _check_tree(ids: Iterable[int], edges: set[frozenset[int]]) -> dict[int, list[int]]:
+    """Ascending adjacency lists of the tree that `edges` make on `ids`;
+    TdFormatError unless the edges form a spanning tree."""
+    adj: dict[int, list[int]] = {i: [] for i in ids}
     for e in edges:
         if len(e) != 2:
             raise TdFormatError("decomposition edge must join two distinct nodes")
-        for x in e:
-            if x not in ids:
-                raise TdFormatError(f"decomposition edge references unknown node {x}")
-    if len(edges) != max(len(ids) - 1, 0):
-        if len(edges) > len(ids) - 1:
+        a, b = e
+        try:
+            adj[a].append(b)
+            adj[b].append(a)
+        except KeyError as exc:
+            raise TdFormatError(f"decomposition edge references unknown node {exc.args[0]}") from None
+    if len(edges) != max(len(adj) - 1, 0):
+        if len(edges) > len(adj) - 1:
             raise TdFormatError("decomposition edges contain a cycle")
         raise TdFormatError("decomposition edges do not connect all nodes")
-    if not ids:
+    if not adj:
         raise TdFormatError("decomposition has no nodes")
-    # Connectivity check; with exactly N-1 edges, connected implies acyclic.
-    adj: dict[int, list[int]] = {i: [] for i in ids}
-    for e in edges:
-        a, b = tuple(e)
-        adj[a].append(b)
-        adj[b].append(a)
-    if len(_tree_search(adj, next(iter(ids)))[1]) != len(ids):
+    # with exactly N-1 edges, connected implies acyclic
+    start = next(iter(adj))
+    seen, stack = {start}, [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) != len(adj):
         raise TdFormatError("decomposition edges do not connect all nodes")
+    for lst in adj.values():
+        lst.sort()
+    return adj
 
 
 class Rooting(NamedTuple):
@@ -88,17 +100,10 @@ class TreeDecomp:
                  root: int | None = None):
         self.bags: dict[int, VertexSet] = {int(i): vset(b) for i, b in bags.items()}
         self.edges: set[frozenset[int]] = {frozenset((int(a), int(b))) for a, b in edges}
-        _check_tree(set(self.bags), self.edges)
+        self._adj = _check_tree(self.bags, self.edges)
         if root is not None and root not in self.bags:
             raise TdFormatError(f"root {root} is not a node of the decomposition")
         self.root = root
-        self._adj: dict[int, list[int]] = {i: [] for i in self.bags}
-        for e in self.edges:
-            a, b = tuple(e)
-            self._adj[a].append(b)
-            self._adj[b].append(a)
-        for lst in self._adj.values():
-            lst.sort()
 
     def node_ids(self) -> list[int]:
         return sorted(self.bags)
@@ -199,33 +204,36 @@ class BalancedTD(TreeDecomp):
         self._compute_shape(ordered_children)
 
     def _compute_shape(self, given: dict[int, list[int]] | None) -> None:
+        adj = self._adj
         parent: dict[int, int | None] = {self.root: None}
         kids_of: dict[int, list[int]] = {}
-        depth_of: dict[int, int] = {}
+        depth_of = {self.root: 0}
         order: list[int] = []
-        stack = [(self.root, 0)]
+        stack = [self.root]
         while stack:
-            x, d = stack.pop()
-            depth_of[x] = d
+            x = stack.pop()
             order.append(x)
             if given is None:
-                kids = [y for y in self._adj[x] if y != parent[x]]
+                kids = [y for y in adj[x] if y != parent[x]]
             else:
-                kids = list(given.get(x, []))
+                kids = list(given.get(x, ()))
             if len(kids) > 2:
                 raise ValueError(f"node {x} has {len(kids)} children; binary tree required")
+            d = depth_of[x] + 1
             for y in kids:
-                if y in parent or frozenset((x, y)) not in self.edges:
+                if y in parent or y not in adj[x]:
                     raise ValueError(f"child {y} of node {x} does not follow the tree edges")
                 parent[y] = x
+                depth_of[y] = d
             kids_of[x] = kids
-            stack.extend((y, d + 1) for y in reversed(kids))
+            stack += reversed(kids)
         if len(order) != len(self.bags):
             raise ValueError("ordered children do not reach every node")
-        height: dict[int, int] = {}
+        height = dict.fromkeys(order, 0)
         for x in reversed(order):
-            kids = kids_of[x]
-            height[x] = 1 + max(height[k] for k in kids) if kids else 0
+            p = parent[x]
+            if p is not None and height[x] >= height[p]:
+                height[p] = height[x] + 1
         self.ordered_children = kids_of
         self._parent = parent
         self._depth_of = depth_of
@@ -421,6 +429,16 @@ def write_td(t: TreeDecomp, n_vertices: int | None = None) -> str:
 # split on the tree path between the two existing anchor attachment points
 # instead of at the centroid, which caps the live anchors at two. Root bags
 # therefore hold at most 3*(w+1) vertices and sizes halve every other level.
+#
+# Each level makes one preorder search of its piece from the first anchor's
+# node: subtree sizes give the centroid, or with two anchors the cost of
+# splitting the anchor path at each node, and the split node's child
+# intervals plus the rest above it are the branches. A piece is the set of
+# nodes carrying its label, so no adjacency is copied. The tree is fixed by:
+# the centroid minimises the largest branch, ties going to the smallest id;
+# branches are ordered by smallest node id; inherited anchors keep their
+# order and the new anchor comes last; path and spine splits take the first
+# minimum. Struct weights (node counts) drive the spine splits.
 # ---------------------------------------------------------------------------
 
 class _Struct:
@@ -429,130 +447,106 @@ class _Struct:
     def __init__(self, bag: frozenset[int], children: list["_Struct"]):
         self.bag = bag
         self.children = children
+        self.weight = 1 + sum(ch.weight for ch in children)  # struct nodes in the subtree
 
 
-def _tree_search(adj, start: int, avoid: int | None = None):
-    """(parent map, discovery order) of the nodes of the tree `adj` reachable
-    from start without entering `avoid`; parents come before their children."""
-    parent: dict[int, int | None] = {start: None}
-    order = [start]
-    for x in order:
+def _build_struct(t: TreeDecomp) -> _Struct:
+    """Binary struct of the whole tree of t; see the comment block above."""
+    root = next(iter(t.bags))
+    if len(t.bags) == 1:
+        return _Struct(frozenset(t.bags[root]), [])
+    label = dict.fromkeys(t.bags, 0)
+    return _build_piece(t, label, itertools.count(1), 0, len(t.bags), [], root)
+
+
+def _build_piece(t: TreeDecomp, label: dict[int, int], fresh: Iterator[int], piece: int,
+                 total: int, anchors: list[tuple[int, frozenset[int]]], root: int) -> _Struct:
+    """Struct of the piece of `total` >= 2 nodes labelled `piece`, searched
+    from `root` (the first anchor's node, if any); `fresh` yields unused labels."""
+    adj, bags = t._adj, t.bags
+    # preorder search; up[i] is the position of order[i]'s parent
+    mark = next(fresh)
+    label[root] = mark
+    order, up = [], []
+    stack = [(root, -1)]
+    while stack:
+        x, p = stack.pop()
+        i = len(order)
+        order.append(x)
+        up.append(p)
         for y in adj[x]:
-            if y not in parent and y != avoid:
-                parent[y] = x
-                order.append(y)
-    return parent, order
-
-
-def _centroid(nodes: set[int], adj) -> int:
-    """Node whose removal leaves components of at most len(nodes)/2 nodes."""
-    root = min(nodes)
-    total = len(nodes)
-    parent, order = _tree_search(adj, root)
-    size = {x: 1 for x in nodes}
-    for x in reversed(order):
-        if parent[x] is not None:
-            size[parent[x]] += size[x]
-    best, best_cost = root, total
-    for x in order:
-        child_sizes = [size[y] for y in adj[x] if parent[y] == x]
-        up = total - size[x]
-        cost = max(child_sizes + [up]) if (child_sizes or up) else 0
-        if cost < best_cost or (cost == best_cost and x < best):
-            best, best_cost = x, cost
-    return best
-
-
-def _choose_split(nodes: set[int], adj, anchors) -> int:
-    """Split node: centroid normally, a balanced path node with two anchors."""
+            if label[y] == piece:
+                label[y] = mark
+                stack.append((y, i))
+    size = [1] * total
+    heavy = [0] * total  # largest child subtree
+    heavy_at = [0] * total  # its position
+    for i in range(total - 1, 0, -1):
+        s, p = size[i], up[i]
+        size[p] += s
+        if s > heavy[p]:
+            heavy[p], heavy_at[p] = s, i
     if len(anchors) == 2:
-        a1, a2 = anchors[0][0], anchors[1][0]
-        if a1 == a2:
-            return a1
-        parent, _ = _tree_search(adj, a1)
-        path = [a2]
-        while path[-1] != a1:
-            path.append(parent[path[-1]])
+        # the path from the first anchor (position 0) down to the second:
+        # splitting at j leaves total - size[j] nodes above, size[next] below
+        path = [order.index(anchors[1][0])]
+        while path[-1]:
+            path.append(up[path[-1]])
         path.reverse()
-        # weight of each path node = itself plus subtrees hanging off the path
-        path_set = set(path)
-        weights = [1 + sum(len(_tree_search(adj, y, p)[1]) for y in adj[p] if y not in path_set)
-                   for p in path]
-        total = sum(weights)
-        best_i, best_cost = 0, None
-        prefix = 0
-        for i, w in enumerate(weights):
-            cost = max(prefix, total - prefix - w)
-            if best_cost is None or cost < best_cost:
-                best_i, best_cost = i, cost
-            prefix += w
-        return path[best_i]
-    return _centroid(nodes, adj)
-
-
-def _build_struct(t: TreeDecomp, nodes: set[int],
-                  anchors: list[tuple[int, frozenset[int]]]) -> _Struct:
-    adj = {x: [y for y in t.neighbors(x) if y in nodes] for x in nodes}
-    return _build_rec(t, nodes, adj, anchors)
-
-
-def _build_rec(t, nodes, adj, anchors) -> _Struct:
-    anchor_union: frozenset[int] = frozenset().union(*(bag for _, bag in anchors)) \
-        if anchors else frozenset()
-    if len(nodes) == 1:
-        only = next(iter(nodes))
-        return _Struct(frozenset(t.bag(only)) | anchor_union, [])
-    c = _choose_split(nodes, adj, anchors)
-    root_bag = frozenset(t.bag(c)) | anchor_union
-    # one component of the tree minus c per neighbour of c, attached there
-    branches = sorted(((set(_tree_search(adj, y, c)[1]), y) for y in adj[c]),
-                      key=lambda item: min(item[0]))
+        costs = [max(total - size[j], size[k]) for j, k in zip(path, path[1:])]
+        costs.append(total - size[path[-1]])
+        ci = path[costs.index(min(costs))]
+    else:
+        # walk down to the centroid; the other one, if any, is its heavy child
+        ci = 0
+        while 2 * heavy[ci] > total:
+            ci = heavy_at[ci]
+        if 2 * heavy[ci] == total and order[heavy_at[ci]] < order[ci]:
+            ci = heavy_at[ci]
+    c = order[ci]
+    bag_c = frozenset(bags[c])
+    end = ci + size[ci]
+    branches = []
+    j = ci + 1
+    while j < end:
+        nodes = order[j:j + size[j]]
+        branches.append((min(nodes), j, nodes))
+        j += size[j]
+    if ci:
+        nodes = order[:ci] + order[end:]
+        branches.append((min(nodes), up[ci], nodes))
+    branches.sort()
     subtrees = []
-    for comp, attach in branches:
-        inherited = [(a, bag) for a, bag in anchors if a != c and a in comp]
-        sub_anchors = inherited + [(attach, frozenset(t.bag(c)))]
+    for _, attach, nodes in branches:
+        if len(nodes) == 1:  # a leaf: its bag, B(c) and any anchor bag held there
+            x = nodes[0]
+            leaf_bag = bag_c.union(bags[x], *[bag for a, bag in anchors if a == x])
+            subtrees.append(_Struct(leaf_bag, []))
+            continue
+        sub = next(fresh)
+        label.update(dict.fromkeys(nodes, sub))
+        sub_anchors = [(a, bag) for a, bag in anchors if label[a] == sub]
+        sub_anchors.append((order[attach], bag_c))
         assert len(sub_anchors) <= 2
-        sub_adj = {x: [y for y in adj[x] if y in comp] for x in comp}
-        subtrees.append(_build_rec(t, comp, sub_adj, sub_anchors))
-    node = _Struct(root_bag, _spine(root_bag, subtrees))
-    return node
+        subtrees.append(_build_piece(t, label, fresh, sub, len(nodes), sub_anchors,
+                                     sub_anchors[0][0]))
+    root_bag = bag_c.union(*[bag for _, bag in anchors])
+    return _Struct(root_bag, _spine(root_bag, subtrees))
 
 
 def _spine(bag: frozenset[int], subtrees: list[_Struct]) -> list[_Struct]:
     """Join k subtree results under copies of `bag`, keeping arity <= 2.
 
-    The split is weight-balanced over the component node counts so the copies
-    add only logarithmically many levels along any path.
+    The split is weight-balanced over the subtrees' struct node counts so the
+    copies add only logarithmically many levels along any path.
     """
     if len(subtrees) <= 2:
         return subtrees
-    weights = [_struct_size(s) for s in subtrees]
-    total = sum(weights)
-    best_i, best_cost = 1, None
-    prefix = 0
-    for i in range(1, len(subtrees)):
-        prefix += weights[i - 1]
-        cost = max(prefix, total - prefix)
-        if best_cost is None or cost < best_cost:
-            best_i, best_cost = i, cost
-    left, right = subtrees[:best_i], subtrees[best_i:]
-    out = []
-    for part in (left, right):
-        if len(part) == 1:
-            out.append(part[0])
-        else:
-            out.append(_Struct(bag, _spine(bag, part)))
-    return out
-
-
-def _struct_size(s: _Struct) -> int:
-    total = 0
-    stack = [s]
-    while stack:
-        x = stack.pop()
-        total += 1
-        stack.extend(x.children)
-    return total
+    prefix = list(itertools.accumulate(s.weight for s in subtrees))
+    costs = [max(p, prefix[-1] - p) for p in prefix[:-1]]
+    cut = 1 + costs.index(min(costs))
+    return [part[0] if len(part) == 1 else _Struct(bag, _spine(bag, part))
+            for part in (subtrees[:cut], subtrees[cut:])]
 
 
 def materialize_struct(struct: _Struct) -> BalancedTD:
@@ -560,16 +554,16 @@ def materialize_struct(struct: _Struct) -> BalancedTD:
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
     children: dict[int, list[int]] = {}
-    stack: list[tuple[_Struct, int | None]] = [(struct, None)]
+    stack = [struct]
     while stack:
-        node, parent = stack.pop()
+        node = stack.pop()
         nid = len(bags) + 1
         bags[nid] = node.bag
-        children[nid] = []
-        if parent is not None:
-            edges.append((parent, nid))
-            children[parent].append(nid)
-        stack.extend((ch, nid) for ch in reversed(node.children))
+        # the first child comes next in preorder, the second after the first's subtree
+        kids = node.children
+        children[nid] = ids = [nid + 1, nid + 1 + kids[0].weight][:len(kids)] if kids else []
+        edges += [(nid, y) for y in ids]
+        stack += reversed(kids)
     return BalancedTD(bags, edges, root=1, ordered_children=children)
 
 
@@ -582,5 +576,4 @@ def binarize_balance(t_hat: TreeDecomp) -> BalancedTD:
     """
     if t_hat.root is None:
         raise ValueError("binarize_balance requires a rooted decomposition")
-    struct = _build_struct(t_hat, set(t_hat.bags), [])
-    return materialize_struct(struct)
+    return materialize_struct(_build_struct(t_hat))

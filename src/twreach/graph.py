@@ -208,6 +208,8 @@ def parse_graph(text: str | bytes) -> DiGraph:
                 int(parts[3])
             except ValueError:
                 raise GraphFormatError("non-integer token in header", lineno) from None
+            if n < 0:
+                raise GraphFormatError("vertex count must be non-negative", lineno)
             continue
         if n is None:
             raise GraphFormatError("arc line before header", lineno)

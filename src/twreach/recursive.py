@@ -48,15 +48,19 @@ class RDContext:
         self.v0 = v0
         self._sep_cache: dict[VertexSet, SeparatorResult] = {}
         self._comp_cache: dict[RDNode, VertexSet] = {}
+        self._settled: dict[RDNode, bool] = {}
 
     def root(self) -> RDNode:
         return RDNode((), self.v0)
 
     def sep_of(self, u) -> SeparatorResult:
-        key = vset(u)
-        hit = self._sep_cache.get(key)
+        """sep of the vertex set u, any iterable; a cached VertexSet is not re-sorted."""
+        hit = self._sep_cache.get(u) if type(u) is tuple else None
         if hit is None:
-            hit = self._sep_cache[key] = sep(self.g, self.t, key)
+            key = vset(u)
+            hit = self._sep_cache.get(key)
+            if hit is None:
+                hit = self._sep_cache[key] = sep(self.g, self.t, key)
         return hit
 
     def component_of(self, node: RDNode) -> VertexSet:
@@ -69,11 +73,13 @@ class RDContext:
 
     def settled(self, node: RDNode) -> bool:
         """True iff the node's component lies inside its own separator bag:
-        the node is then a leaf with hat bag Z | C (facts (a) and (b))."""
-        comp = self.component_of(node)
-        if len(comp) == 1 and node.r in self.t.rooting.top:
-            return True
-        return set(comp) <= set(self.sep_of(comp).separator)
+        the node is then a leaf with hat bag Z | C (facts (a) and (b)). Cached."""
+        hit = self._settled.get(node)
+        if hit is None:
+            comp = self.component_of(node)
+            hit = self._settled[node] = (len(comp) == 1 and node.r in self.t.rooting.top
+                                         or set(comp) <= set(self.sep_of(comp).separator))
+        return hit
 
 
 def _z_prime(ctx: RDContext, node: RDNode, comp: VertexSet) -> set[int]:
@@ -109,9 +115,9 @@ def hat_bag(ctx: RDContext, node: RDNode) -> VertexSet:
         raise ValueError("malformed node: representative inside its boundary")
     if ctx.settled(node):
         return vset(node.z + ctx.component_of(node))
-    comp = set(ctx.component_of(node))
+    comp = ctx.component_of(node)
     seps = set(ctx.sep_of(comp).separator) | set(ctx.sep_of(node.z).separator)
-    return vset(set(node.z) | (seps & comp))
+    return vset(seps.intersection(comp).union(node.z))
 
 
 def materialize_rd(ctx: RDContext) -> list[tuple[int, RDNode, int | None]]:
@@ -153,7 +159,7 @@ def build_balanced(g: DiGraph, t: TreeDecomp) -> BalancedTD:
     for comp in undirected_components(g):
         ctx = RDContext(g, t, min(comp))
         hat = build_hat_decomposition(ctx)
-        structs.append(_build_struct(hat, set(hat.bags), []))
+        structs.append(_build_struct(hat))
     if not structs:
         raise ValueError("graph has no vertices")
     while len(structs) > 1:

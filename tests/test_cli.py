@@ -1,11 +1,12 @@
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from twreach import cli, engine
-from twreach.decomp import BalancedTD, parse_td, validate_td, write_td
+from twreach.decomp import BalancedTD, TdFormatError, parse_td, validate_td, write_td
 from twreach.gen import KTreeSpec, gen_ktree
-from twreach.graph import parse_graph
+from twreach.graph import GraphFormatError, parse_graph
 from twreach.recursive import build_balanced
 
 PATH_GR = "p dgr 4 3\n1 2\n2 3\n3 4\n"
@@ -287,3 +288,42 @@ def test_malformed_graph_is_exit_2(tmp_path, capsys):
     assert cli.main(["reach", "--graph", str(gr), "--td", str(td),
                      "--source", "1", "--target", "2"]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_negative_vertex_count_is_exit_2(tmp_path, capsys):
+    gr = tmp_path / "g.gr"
+    td = tmp_path / "t.td"
+    gr.write_text("p dgr -1 0\n")
+    td.write_text(PATH_TD)
+    assert cli.main(["validate", "--graph", str(gr), "--td", str(td)]) == 2
+    assert "vertex count must be non-negative, line 1" in capsys.readouterr().err
+
+
+# lines of format keywords and small (also negative) numbers, so that most
+# texts get past the header and into the bag, arc and edge rules
+_TOKEN = st.one_of(st.sampled_from(["p", "dgr", "s", "td", "b", "c", "root", "x", "1.5", "-0"]),
+                   st.integers(-3, 6).map(str), st.text(max_size=3))
+_NUMBERS = st.lists(st.integers(-2, 3).map(str), max_size=4)
+
+
+def _keyword_line(keywords):
+    return st.tuples(st.sampled_from(keywords), _NUMBERS).map(lambda kw: " ".join([kw[0], *kw[1]]))
+
+
+_LINE = st.one_of(st.lists(_TOKEN, max_size=6).map(" ".join),
+                  _keyword_line(["p dgr", "s td", "b", "c root"]))
+_TEXT = st.one_of(st.text(max_size=40),
+                  st.lists(_LINE, max_size=8).map("\n".join),
+                  st.tuples(_keyword_line(["p dgr", "s td"]), st.lists(_LINE, max_size=6))
+                  .map(lambda text: "\n".join([text[0], *text[1]])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXT)
+@example("p dgr -1 0\n")  # found by a fuzz run: once a plain ValueError
+def test_parsers_raise_only_format_errors(text):
+    for parse, error in ((parse_graph, GraphFormatError), (parse_td, TdFormatError)):
+        try:
+            parse(text)
+        except error:
+            pass

@@ -37,6 +37,37 @@ def test_non_tree_rejected():
         TreeDecomp({}, [])
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: TreeDecomp({1: (), 2: ()}, [(1, 1)]), TdFormatError, "two distinct nodes"),
+    # one edge given both ways is one edge: too few to connect three nodes
+    (lambda: TreeDecomp({1: (), 2: (), 3: ()}, [(1, 2), (2, 1)]), TdFormatError, "connect"),
+    (lambda: TreeDecomp({1: (), 2: ()}, [(1, 5)]), TdFormatError, "unknown node 5"),
+    (lambda: TreeDecomp({1: (), 2: (), 3: ()}, [(1, 2), (2, 3), (3, 1)]), TdFormatError,
+     "cycle"),
+    # N - 1 edges, but a cycle beside an isolated node
+    (lambda: TreeDecomp({i: () for i in range(1, 5)}, [(1, 2), (2, 3), (3, 1)]),
+     TdFormatError, "connect"),
+    (lambda: TreeDecomp({}, []), TdFormatError, "no nodes"),
+    (lambda: TreeDecomp({1: (), 2: ()}, [(1, 2)], root=3), TdFormatError,
+     "root 3 is not a node"),
+    (lambda: BalancedTD({1: (), 2: ()}, [(1, 2)], root=None), ValueError, "requires a root"),
+    (lambda: BalancedTD({i: () for i in range(1, 5)}, [(1, 2), (1, 3), (1, 4)], root=1),
+     ValueError, "node 1 has 3 children; binary tree required"),
+    (lambda: BalancedTD({1: (), 2: (), 3: ()}, [(1, 2), (2, 3)], root=1,
+                        ordered_children={1: [3], 2: []}),
+     ValueError, "child 3 of node 1 does not follow the tree edges"),
+    (lambda: BalancedTD({1: (), 2: (), 3: ()}, [(1, 2), (1, 3)], root=1,
+                        ordered_children={1: [2]}),
+     ValueError, "ordered children do not reach every node"),
+], ids=["self-loop", "edge-both-ways", "unknown-node", "cycle", "cycle-and-isolated",
+        "no-nodes", "root-not-a-node", "balanced-no-root", "balanced-ternary",
+        "balanced-child-off-edges", "balanced-children-miss-a-node"])
+def test_constructor_errors(build, error, message):
+    with pytest.raises(ValueError, match=message) as exc:
+        build()
+    assert type(exc.value) is error
+
+
 def test_parent_children_maps():
     assert PATH_T.parent_map() == {1: None, 2: 1, 3: 2}
     assert PATH_T.children_map() == {1: [2], 2: [3], 3: []}

@@ -34,6 +34,12 @@ def test_parse_errors():
         parse_graph("p dgr 2 1\n1 x\n")
 
 
+def test_parse_negative_vertex_count():
+    with pytest.raises(GraphFormatError, match="vertex count must be non-negative, line 2") as exc:
+        parse_graph("c negative\np dgr -1 0\n")
+    assert exc.value.line == 2
+
+
 def test_parse_dedups_and_ignores_comments():
     g = parse_graph("c hi\np dgr 2 3\n1 2\n1 2\n2 1\n")
     assert g.arcs == {(1, 2), (2, 1)}

@@ -20,11 +20,15 @@ from .sequences import lseq_element, useq_stream
 # (log2 d)^2 big-int work. `gen-ktree` takes about 50 us and 1.8 KB per
 # vertex (n=100000: 4.9 s, 179 MiB peak), and one `bench` instance grows
 # faster than linearly in n (k=3: 2.5 s at n=4096, 6.7 s and 127 MiB at
-# n=8192), each measured with the CLI on a 2-vCPU host.
+# n=8192). A k-tree has about n*k edges, so both commands also bound k:
+# at k=16, `gen-ktree --n 100000` takes 10.8 s and 511 MiB, and `bench
+# --grid 8192:16` 4.1 s and 106 MiB. Each is measured with the CLI on a
+# 2-vCPU host.
 MAX_USEQ_ORDER = 20
 MAX_BENCH_REPS = 100
 MAX_BENCH_N = 8192
 MAX_GEN_N = 100_000
+MAX_GEN_K = 16
 MAX_LSEQ_BUDGET = 1 << 2048
 
 
@@ -127,6 +131,8 @@ def cmd_lseq(args) -> int:
 def cmd_gen_ktree(args) -> int:
     if args.n > MAX_GEN_N:
         raise ValueError(f"--n must be at most {MAX_GEN_N}")
+    if args.k > MAX_GEN_K:
+        raise ValueError(f"--k must be at most {MAX_GEN_K}")
     spec = gen.KTreeSpec(n=args.n, k=args.k, seed=args.seed,
                          arc_probability=args.arc_prob)
     g, td = gen.gen_ktree(spec)
@@ -147,6 +153,8 @@ def cmd_bench(args) -> int:
         grid.append((int(n_txt), int(k_txt)))
         if grid[-1][0] > MAX_BENCH_N:
             raise ValueError(f"--grid sizes must be at most {MAX_BENCH_N}")
+        if grid[-1][1] > MAX_GEN_K:
+            raise ValueError(f"--grid widths must be at most {MAX_GEN_K}")
     records = gen.bench(grid, args.reps, seed=args.seed)
     text = gen.bench_csv(records, seed=args.seed, grid=grid)
     if args.out:

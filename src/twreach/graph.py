@@ -187,13 +187,23 @@ def bfs_reachable(g: DiGraph, u: int, v: int) -> bool:
     return False
 
 
+def text_lines(text: str | bytes, error: type[ValueError]) -> list[str]:
+    """The lines of a .gr or .td text; bytes that are not UTF-8 raise
+    `error` with the number of the line they are on."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((text[:exc.start].decode("utf-8") + ".").splitlines())
+            raise error("invalid UTF-8", line) from None
+    return text.splitlines()
+
+
 def parse_graph(text: str | bytes) -> DiGraph:
     """Parse the .gr directed-graph format (header "p dgr <n> <m>", arc lines)."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     n = None
     arcs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text_lines(text, GraphFormatError), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

@@ -13,12 +13,12 @@ almost no graph search, by two facts about the branches of T minus a node x
 
 1. Every component of G - B(x) lies inside one branch of T - x, because a
    vertex outside B(x) occurs in one branch only and every edge is covered.
-   With T rooted at its smallest id (`TreeDecomp.rooting`) and top(v) the
-   first preorder bag holding v, the branch through child c holds the targets
-   with top(v) inside subtree(c), and the parent branch holds the rest of
-   U \\ B(x). If no branch holds more than |U|/2 targets, x qualifies with no
-   search. At most one branch can, and then a search from the targets in that
-   branch alone decides x.
+   With T rooted at its root, or at its smallest id when it has none
+   (`TreeDecomp.rooting`), and top(v) the first preorder bag holding v, the
+   branch through child c holds the targets with top(v) inside subtree(c),
+   and the parent branch holds the rest of U \\ B(x). If no branch holds
+   more than |U|/2 targets, x qualifies with no search. At most one branch
+   can, and then a search from the targets in that branch alone decides x.
 2. If x is rejected, its heavy component C lies in the branch toward some
    neighbour y. Every bag z outside that branch misses C, so C stays inside
    one component of G - B(z) and z is rejected too. The scan therefore keeps
@@ -28,9 +28,9 @@ almost no graph search, by two facts about the branches of T minus a node x
 
 Accepting by fact 1 is exact and skipping by fact 2 only drops bags that
 would be rejected, so the bag returned is the one the exhaustive scan over
-ascending ids returns. Every bag the scan evaluates leaves the region, so the
-next one is the smallest id left in it: one range-minimum query
-(`Rooting.first_id`) per preorder interval of the region.
+ascending ids returns, wherever T is rooted. Every bag the scan evaluates
+leaves the region, so the next one is the smallest id left in it: one
+range-minimum query (`Rooting.first_id`) per preorder interval of the region.
 """
 from __future__ import annotations
 

@@ -239,6 +239,19 @@ def test_gen_ktree_size_limit(tmp_path, capsys):
     assert not gr.exists() and not td.exists()
 
 
+def test_width_limits(tmp_path, capsys):
+    # sizes small enough that a missing check would still finish at once
+    gr, td, out = tmp_path / "k.gr", tmp_path / "k.td", tmp_path / "b.csv"
+    k = str(cli.MAX_GEN_K + 1)
+    assert cli.main(["gen-ktree", "--n", "40", "--k", k,
+                     "--graph-out", str(gr), "--td-out", str(td)]) == 2
+    assert "--k must be at most 16" in capsys.readouterr().err
+    assert cli.main(["bench", "--grid", f"8:1,40:{k}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--grid widths must be at most 16" in captured.err
+    assert not gr.exists() and not td.exists() and not out.exists()
+
+
 def test_lseq_unrooted(tmp_path, capsys):
     td = tmp_path / "t.td"
     td.write_text("s td 1 2 2\nb 1 1 2\n")
@@ -290,6 +303,19 @@ def test_malformed_graph_is_exit_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_invalid_utf8_is_a_format_error(tmp_path, capsys):
+    text = b"p dgr 2 1\n1 \xff\n"
+    for parse, error in ((parse_graph, GraphFormatError), (parse_td, TdFormatError)):
+        with pytest.raises(error, match="invalid UTF-8, line 2") as exc:
+            parse(text)
+        assert exc.value.line == 2
+    gr, td = tmp_path / "g.gr", tmp_path / "t.td"
+    gr.write_bytes(text)
+    td.write_text(PATH_TD)
+    assert cli.main(["validate", "--graph", str(gr), "--td", str(td)]) == 2
+    assert "invalid UTF-8, line 2" in capsys.readouterr().err
+
+
 def test_negative_vertex_count_is_exit_2(tmp_path, capsys):
     gr = tmp_path / "g.gr"
     td = tmp_path / "t.td"
@@ -316,11 +342,16 @@ _TEXT = st.one_of(st.text(max_size=40),
                   st.lists(_LINE, max_size=8).map("\n".join),
                   st.tuples(_keyword_line(["p dgr", "s td"]), st.lists(_LINE, max_size=6))
                   .map(lambda text: "\n".join([text[0], *text[1]])))
+# bytes, as the CLI reads files: raw, or encoded lines with stray bytes after
+_BYTES = st.one_of(st.binary(max_size=40),
+                   st.tuples(_TEXT, st.binary(max_size=3))
+                   .map(lambda t: t[0].encode("utf-8", "surrogatepass") + t[1]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_TEXT)
+@given(st.one_of(_TEXT, _BYTES))
 @example("p dgr -1 0\n")  # found by a fuzz run: once a plain ValueError
+@example(b"p dgr 2 1\n1 \xff\n")  # once a bare UnicodeDecodeError
 def test_parsers_raise_only_format_errors(text):
     for parse, error in ((parse_graph, GraphFormatError), (parse_td, TdFormatError)):
         try:

@@ -172,17 +172,170 @@ def test_validate_matches_all_bags_scan():
 
 
 def test_rooting_range_minimum():
-    rng = random.Random(4)
+    rng, roots = random.Random(4), random.Random(5)
     for size in list(range(1, 18)) + [40, 100]:
         ids = rng.sample(range(1, 4 * size + 1), size)
         edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, size)]
-        rooting = TreeDecomp({x: () for x in ids}, edges).rooting
-        order = rooting.order
-        assert sorted(order) == sorted(ids) and order[0] == min(ids)
-        assert all(rooting.pre[x] == i for i, x in enumerate(order))
-        for lo in range(size):
-            for hi in range(lo + 1, size + 1):
-                assert rooting.first_id(lo, hi) == min(order[lo:hi])
+        # unrooted (the smallest id roots the shape), then rooted anywhere
+        for root in (None, roots.choice(ids)):
+            rooting = TreeDecomp({x: () for x in ids}, edges, root=root).rooting
+            order = rooting.order
+            assert sorted(order) == sorted(ids) and order[0] == (min(ids) if root is None else root)
+            assert all(rooting.pre[x] == i for i, x in enumerate(order))
+            for lo in range(size):
+                for hi in range(lo + 1, size + 1):
+                    assert rooting.first_id(lo, hi) == min(order[lo:hi])
+
+
+# Reference walks, one per shape accessor, written out separately; the
+# accessors, which all read one shared shape, must agree with each of them.
+
+def _ref_rooting(t):
+    """(order, pre, end, children) of the preorder at the smallest id."""
+    root = min(t.bags)
+    order, children = [], {}
+    stack = [(root, None)]
+    while stack:
+        x, parent = stack.pop()
+        order.append(x)
+        children[x] = [y for y in t.neighbors(x) if y != parent]
+        stack.extend((y, x) for y in reversed(children[x]))
+    pre = {x: i for i, x in enumerate(order)}
+    end = {}
+    for x in reversed(order):
+        kids = children[x]
+        end[x] = end[kids[-1]] if kids else pre[x] + 1
+    return order, pre, end, children
+
+
+def _ref_parent_map(t):
+    parent = {t.root: None}
+    stack = [t.root]
+    while stack:
+        x = stack.pop()
+        for y in t.neighbors(x):
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    return parent
+
+
+def _ref_children_map(t):
+    parent = _ref_parent_map(t)
+    children = {i: [] for i in t.bags}
+    for node in sorted(t.bags):
+        if parent[node] is not None:
+            children[parent[node]].append(node)
+    return children
+
+
+def _ref_depth(t):
+    children, depth = _ref_children_map(t), 0
+    stack = [(t.root, 0)]
+    while stack:
+        x, d = stack.pop()
+        depth = max(depth, d)
+        stack.extend((y, d + 1) for y in children[x])
+    return depth
+
+
+def _ref_balanced_shape(t, given):
+    """(parent, children, depth_of, height, preorder, leaves) of a BalancedTD."""
+    parent, kids_of, depth_of, order = {t.root: None}, {}, {t.root: 0}, []
+    stack = [t.root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        kids = [y for y in t.neighbors(x) if y != parent[x]] if given is None else list(given.get(x, ()))
+        for y in kids:
+            parent[y] = x
+            depth_of[y] = depth_of[x] + 1
+        kids_of[x] = kids
+        stack += reversed(kids)
+    height = dict.fromkeys(order, 0)
+    for x in reversed(order):
+        p = parent[x]
+        if p is not None and height[x] >= height[p]:
+            height[p] = height[x] + 1
+    return parent, kids_of, depth_of, height, order, [x for x in order if not kids_of[x]]
+
+
+def _ref_write_td(t, kids):
+    """write_td's text, renumbering in preorder under `kids` (or by id, unrooted)."""
+    n_vertices = max((max(b) for b in t.bags.values() if b), default=0)
+    if t.root is None:
+        order = sorted(t.bags)
+    else:
+        order, stack = [], [t.root]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            stack.extend(reversed(kids[x]))
+    renum = {old: i + 1 for i, old in enumerate(order)}
+    lines = [] if t.root is None else [f"c root {renum[t.root]}"]
+    lines.append(f"s td {len(t.bags)} {max(len(b) for b in t.bags.values())} {n_vertices}")
+    lines += ["b " + " ".join(map(str, (renum[x],) + t.bags[x])).rstrip() for x in order]
+    lines += [f"{a} {b}" for a, b in sorted(sorted((renum[x], renum[y])) for x, y in t.edges)]
+    return "\n".join(lines) + "\n"
+
+
+def _random_tree(rng, size, arity=None):
+    """Ids, bags and edges of a random tree on `size` non-contiguous ids,
+    rooted at ids[0] with at most `arity` children per node when given."""
+    ids = rng.sample(range(1, 4 * size + 1), size)
+    kids = [0] * size
+    edges = []
+    for i in range(1, size):
+        j = rng.choice([j for j in range(i) if arity is None or kids[j] < arity])
+        kids[j] += 1
+        edges.append((ids[i], ids[j]))
+    bags = {x: tuple(rng.sample(range(1, 9), rng.randint(0, 3))) for x in ids}
+    return ids, bags, edges
+
+
+def test_tree_shape_matches_reference_walks():
+    rng = random.Random(12)
+    for trial in range(300):
+        ids, bags, edges = _random_tree(rng, rng.randint(1, 30))
+        for root in (None, min(ids), rng.choice(ids)):
+            t = TreeDecomp(bags, edges, root=root)
+            if root is None:
+                for method in (t.parent_map, t.children_map, t.depth):
+                    with pytest.raises(ValueError, match="rooted"):
+                        method()
+                assert write_td(t) == _ref_write_td(t, None)
+            else:
+                assert t.parent_map() == _ref_parent_map(t)
+                assert t.children_map() == _ref_children_map(t)
+                assert t.depth() == _ref_depth(t)
+                assert write_td(t) == _ref_write_td(t, _ref_children_map(t))
+                assert t.rooting.children == _ref_children_map(t)
+            if root in (None, min(ids)):
+                assert tuple(t.rooting[:4]) == _ref_rooting(t)
+            # augment keeps the shape and recomputes what depends on the bags
+            aug = t.augment({9})
+            assert aug.rooting == TreeDecomp(aug.bags, edges, root=root).rooting
+            assert aug._shape is t._shape and aug.bags != t.bags
+
+
+def test_balanced_shape_matches_reference_walk():
+    rng = random.Random(13)
+    for trial in range(300):
+        ids, bags, edges = _random_tree(rng, rng.randint(1, 30), arity=2)
+        root = ids[0]
+        t = TreeDecomp(bags, edges, root=root)
+        # ascending children, then the same children shuffled
+        given = {x: rng.sample(kids, len(kids)) for x, kids in t.children_map().items()}
+        for order in (None, given):
+            b = BalancedTD(bags, edges, root, ordered_children=order)
+            parent, kids, depth_of, height, preorder, leaves = _ref_balanced_shape(b, order)
+            assert b.parent_map() == parent and b.ordered_children == kids
+            assert b.preorder == preorder and b.leaves == leaves
+            assert all(b.children(x) == kids[x] and b.parent(x) == parent[x]
+                       and b.depth_of(x) == depth_of[x] and b.height(x) == height[x]
+                       for x in bags)
+            assert b.depth() == height[root] == max(depth_of.values())
+            assert write_td(b) == _ref_write_td(b, kids)
 
 
 def test_parse_td_basic():

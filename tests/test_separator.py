@@ -204,13 +204,17 @@ def _instances(rng):
 
 
 def test_sep_matches_exhaustive_scan():
-    rng = random.Random(2024)
+    # each instance also rooted at a random node: the answer is the first
+    # qualifying bag in ascending id, wherever the shape is rooted
+    rng, roots = random.Random(2024), random.Random(2025)
     for g, t in _instances(rng):
         assert validate_td(g, t).ok
+        rooted = TreeDecomp(t.bags, [tuple(e) for e in t.edges], root=roots.choice(sorted(t.bags)))
         targets = [rng.sample(range(1, g.n + 1), rng.randint(0, g.n)) for _ in range(4)]
         targets += undirected_components(g) + [range(1, g.n + 1)]
         for u in targets:
             _assert_sep_matches_oracle(g, t, u)
+            _assert_sep_matches_oracle(g, rooted, u)
 
 
 def test_sep_matches_exhaustive_scan_on_balancing_targets(monkeypatch):

@@ -42,6 +42,16 @@ def _load_td(path: str) -> decomp.TreeDecomp:
         return decomp.parse_td(fh.read())
 
 
+def _load_valid(args) -> tuple[graph.DiGraph, decomp.TreeDecomp]:
+    """The --graph and --td inputs; an invalid decomposition is a ValueError (exit 2)."""
+    g = _load_graph(args.graph)
+    t = _load_td(args.td)
+    rep = decomp.validate_td(g, t)
+    if not rep.ok:
+        raise ValueError(f"input decomposition invalid: {rep.witness}")
+    return g, t
+
+
 def cmd_validate(args) -> int:
     g = _load_graph(args.graph)
     t = _load_td(args.td)
@@ -55,12 +65,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_separator(args) -> int:
-    g = _load_graph(args.graph)
-    t = _load_td(args.td)
-    rep = decomp.validate_td(g, t)
-    if not rep.ok:
-        print(f"input decomposition invalid: {rep.witness}", file=sys.stderr)
-        return 2
+    g, t = _load_valid(args)
     if args.target:
         u = [int(x) for x in args.target.split(",")]
     else:
@@ -73,12 +78,7 @@ def cmd_separator(args) -> int:
 
 
 def cmd_balance(args) -> int:
-    g = _load_graph(args.graph)
-    t = _load_td(args.td)
-    rep = decomp.validate_td(g, t)
-    if not rep.ok:
-        print(f"input decomposition invalid: {rep.witness}", file=sys.stderr)
-        return 2
+    g, t = _load_valid(args)
     balanced = build_balanced(g, t)
     with open(args.out, "w") as fh:
         fh.write(decomp.write_td(balanced, n_vertices=g.n))

@@ -275,23 +275,21 @@ def validate_td(g: DiGraph, t: TreeDecomp, vertices: Iterable[int] | None = None
     (used for per-component decompositions of disconnected graphs).
     """
     target = set(vertices) if vertices is not None else set(range(1, g.n + 1))
-    covered: set[int] = set()
-    for b in t.bags.values():
-        covered.update(b)
+    # occ[v]: the ids of the bags that hold v
+    occ: dict[int, set[int]] = {}
+    for x, b in t.bags.items():
+        for v in b:
+            occ.setdefault(v, set()).add(x)
+    covered = set(occ)
     covers_vertices = covered == target
     witness = None
     if not covers_vertices:
         missing = sorted(target - covered) or sorted(covered - target)
         witness = f"vertex coverage mismatch, e.g. vertex {missing[0]}"
 
-    # occ[v]: mask of the bags (by position) that hold v
-    occ: dict[int, int] = {}
-    for i, b in enumerate(t.bags.values()):
-        for v in b:
-            occ[v] = occ.get(v, 0) | 1 << i
     covers_edges = True
     for u, v in sorted(g.und_edges):
-        if u in target and v in target and not occ.get(u, 0) & occ.get(v, 0):
+        if u in target and v in target and occ.get(u, set()).isdisjoint(occ.get(v, ())):
             covers_edges = False
             if witness is None:
                 witness = f"edge ({u}, {v}) not covered by any bag"
@@ -305,7 +303,7 @@ def validate_td(g: DiGraph, t: TreeDecomp, vertices: Iterable[int] | None = None
             links[v] = links.get(v, 0) + 1
     connected = True
     for v in sorted(occ):
-        if occ[v].bit_count() != links.get(v, 0) + 1:
+        if len(occ[v]) != links.get(v, 0) + 1:
             connected = False
             if witness is None:
                 witness = f"occurrences of vertex {v} are not connected in the tree"

@@ -1,4 +1,4 @@
-"""Two-bit-vector marking over a leaf schedule, with metered working space.
+"""Two-bit-vector marking over a leaf schedule, with declared working space.
 
 The engine walks the leaf schedule of a balanced binary decomposition: at each
 leaf it re-marks, into a fresh vector scoped to that leaf, every vertex
@@ -24,39 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomp import BalancedTD, TreeDecomp, validate_td
-from .graph import DiGraph, VertexSet, undirected_components, vset
+from .graph import DiGraph, VertexSet, undirected_components, vertex_mask, vset
 from .recursive import build_balanced
 from .sequences import LeafSeq
 # Not called here since the walk recurses through LeafSeq.parts; kept as
 # engine.useq_element because perfbench/tracing.py counts calls through it.
 from .sequences import useq_element  # noqa: F401
-
-
-class MeterError(ValueError):
-    pass
-
-
-class SpaceMeter:
-    """Tallies peak bits of registered working state."""
-
-    def __init__(self):
-        self.current_bits = 0
-        self.peak_bits = 0
-        self.registry: dict[str, int] = {}
-
-    def register(self, name: str, bits: int) -> None:
-        if name in self.registry:
-            raise MeterError(f"working-state item {name!r} already registered")
-        if bits < 0:
-            raise MeterError("bit count must be non-negative")
-        self.registry[name] = bits
-        self.current_bits += bits
-        self.peak_bits = max(self.peak_bits, self.current_bits)
-
-    def release(self, name: str) -> None:
-        if name not in self.registry:
-            raise MeterError(f"unknown working-state item {name!r}")
-        self.current_bits -= self.registry.pop(name)
 
 
 @dataclass(frozen=True)
@@ -132,18 +105,11 @@ class _Runner:
         self.tree = tree
         # scope of node x: the bags on the root-to-x path, as a mask over
         # vertex ids; one preorder pass fills every parent before its children
-        self.scope_mask: dict[int, int] = {}
-        for x in tree.preorder:
-            up = tree.parent(x)
-            m = 0 if up is None else self.scope_mask[up]
-            for v in tree.bag(x):
-                m |= 1 << v
-            self.scope_mask[x] = m
-        self.scope_size = {x: m.bit_count() for x, m in self.scope_mask.items()}
-        self.succ_mask = [0] * (g.n + 1)
-        for u, v in g.arcs:
-            if u != v:
-                self.succ_mask[u] |= 1 << v
+        scope: dict[int, int] = {}
+        for x in tree.preorder:  # the root's parent, None, has no scope
+            scope[x] = vertex_mask(tree.bag(x)) | scope.get(tree.parent(x), 0)
+        self.scope_mask = scope
+        self.scope_size = {x: m.bit_count() for x, m in scope.items()}
         self._step_cache: dict[tuple[int, int], int] = {}
         # one object per state value, so the step cache and the memo share
         # each state instead of holding a fresh int per cache miss
@@ -156,7 +122,7 @@ class _Runner:
         if hit is not None:
             return hit
         cur = m = prev
-        succ = self.succ_mask
+        succ = self.g.succ_mask
         while m:
             low = m & -m
             cur |= succ[low.bit_length() - 1]
@@ -167,17 +133,15 @@ class _Runner:
         self._step_cache[f, states.setdefault(prev, prev)] = cur
         return cur
 
-    def step_work(self, f: int, prev: int) -> int:
-        return prev.bit_count() * self.scope_size[f]
-
     def run_loop(self, t: int, d: int, initial: int) -> tuple[int, int, int]:
         """Literal walk of the schedule. Returns (final state, iterations, work)."""
         state = initial
         iters = 0
         work = 0
+        size = self.scope_size
         for f in LeafSeq(self.tree, t, d):
             iters += 1
-            work += self.step_work(f, state)
+            work += state.bit_count() * size[f]
             state = self.step(f, state)
         return state, iters, work
 
@@ -238,21 +202,21 @@ class _Runner:
         return state, length + 1, work + initial.bit_count() * size[f]
 
 
-def _meter_layout(meter: SpaceMeter, cap: int, n_nodes: int, n: int, seq_len: int) -> None:
-    """Register the declared working set of one run; everything else is read-only."""
-    meter.register("R0", cap)
-    meter.register("R1", cap)
-    meter.register("t0", max(n_nodes, 1).bit_length())
-    meter.register("t1", max(n_nodes, 1).bit_length())
-    meter.register("lseq_index", max(seq_len, 1).bit_length())
-    meter.register("scope_scratch", cap)
-    meter.register("x_cursor", max(n, 1).bit_length())
-    meter.register("y_cursor", max(n, 1).bit_length())
+def _declared_bits(width: int, depth: int, n_nodes: int, n: int, seq_len: int) -> int:
+    """Bits of the declared working set of one run; everything else is read-only.
+
+    Eight items: the marking vectors R0 and R1 and the scope scratch, at
+    cap = (width+1)(depth+1) bits each; the tree-node ids t0 and t1; the
+    schedule index; and the x/y vertex cursors. All are held for the whole
+    run, so their sum is the peak.
+    """
+    cap = (width + 1) * (depth + 1)
+    return (3 * cap + 2 * max(n_nodes, 1).bit_length()
+            + max(seq_len, 1).bit_length() + 2 * max(n, 1).bit_length())
 
 
 def reach_balanced(g: DiGraph, tree: BalancedTD, u: int, v: int,
-                   meter: SpaceMeter | None = None, engine: str = "auto",
-                   report: bool = False):
+                   engine: str = "auto", report: bool = False):
     """Marking run over the full schedule of the balanced decomposition.
 
     Requires u and v in the root bag (callers augment first). Returns the
@@ -261,8 +225,6 @@ def reach_balanced(g: DiGraph, tree: BalancedTD, u: int, v: int,
     root_bag = set(tree.bag(tree.root))
     if u not in root_bag or v not in root_bag:
         raise ValueError("source and target must appear in the root bag")
-    if meter is None:
-        meter = SpaceMeter()
     n = g.n
     d_total = 1 << max(n - 1, 0).bit_length()
     runner = _Runner(g, tree)
@@ -277,16 +239,12 @@ def reach_balanced(g: DiGraph, tree: BalancedTD, u: int, v: int,
 
     width = tree.width()
     depth = tree.depth()
-    # nothing is released before the end of the run, so registering the layout
-    # after the walk, once its length is known, gives the same peak
-    _meter_layout(meter, (width + 1) * (depth + 1), len(tree.bags), n, iters)
-    for name in list(meter.registry):
-        meter.release(name)
     reachable = bool(state >> v & 1)
     if not report:
         return reachable
     return ReachReport(reachable=reachable, iterations=iters, relax_work=work,
-                       peak_bits=meter.peak_bits, n=n, d=d_total,
+                       peak_bits=_declared_bits(width, depth, len(tree.bags), n, iters),
+                       n=n, d=d_total,
                        width_balanced=width, depth_balanced=depth, engine=engine,
                        memo_entries=len(runner.memo),
                        step_entries=len(runner._step_cache))

@@ -5,7 +5,8 @@ A VertexSet is a sorted, duplicate-free tuple of vertex ids, so set
 equality is tuple equality. Connectivity works on int vertex masks (bit v
 for vertex v): `grow` adds a whole BFS layer per step by OR-ing the cached
 neighbour masks `DiGraph.und_mask` of the frontier, and every component
-search of the package goes through it.
+search of the package goes through it. The marking walk reads the directed
+counterpart, `DiGraph.succ_mask`.
 """
 from __future__ import annotations
 
@@ -65,6 +66,11 @@ class DiGraph:
         return out
 
     @cached_property
+    def succ_mask(self) -> list[int]:
+        """Successor masks: bit y of succ_mask[x] is set iff x -> y is an arc and x != y."""
+        return [vertex_mask(ys) for ys in self.succ]
+
+    @cached_property
     def und_adj(self) -> list[list[int]]:
         """Undirected adjacency lists (symmetric closure, self-loops dropped)."""
         adj: list[set[int]] = [set() for _ in range(self.n + 1)]
@@ -77,7 +83,7 @@ class DiGraph:
     @cached_property
     def und_mask(self) -> list[int]:
         """Undirected neighbour masks: bit y of und_mask[x] is set iff x and y are adjacent."""
-        return [sum(1 << y for y in ys) for ys in self.und_adj]
+        return [vertex_mask(ys) for ys in self.und_adj]
 
     @cached_property
     def vertices_mask(self) -> int:

@@ -23,7 +23,7 @@ without changing the tree:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decomp import BalancedTD, TreeDecomp, _Struct, _build_struct, materialize_struct
 from .graph import (DiGraph, VertexSet, component_containing, grow, members,
@@ -31,8 +31,8 @@ from .graph import (DiGraph, VertexSet, component_containing, grow, members,
 from .separator import SeparatorResult, sep
 
 
-@dataclass(frozen=True)
-class RDNode:
+class RDNode(NamedTuple):
+    """A (Z, r) node; a tuple, so the caches keyed by it hash and compare in C."""
     z: VertexSet
     r: int
 

@@ -6,35 +6,12 @@ import pytest
 
 from twreach import engine
 from twreach.decomp import BalancedTD, TreeDecomp
-from twreach.engine import (AncestorOrder, MeterError, ReachReport, SpaceMeter,
-                            _Runner, ancestor_vertices, gad_view, reach,
-                            reach_balanced)
+from twreach.engine import (AncestorOrder, ReachReport, _Runner, ancestor_vertices,
+                            gad_view, reach, reach_balanced)
 from twreach.gen import KTreeSpec, gen_ktree
 from twreach.graph import DiGraph, bfs_reachable
 from twreach.recursive import build_balanced
 from twreach.sequences import LeafSeq
-
-
-def test_meter_accounting():
-    m = SpaceMeter()
-    m.register("a", 10)
-    m.register("b", 5)
-    assert m.current_bits == 15 and m.peak_bits == 15
-    m.release("a")
-    assert m.current_bits == 5 and m.peak_bits == 15
-    m.register("c", 7)
-    assert m.current_bits == 12 and m.peak_bits == 15
-
-
-def test_meter_errors():
-    m = SpaceMeter()
-    m.register("a", 1)
-    with pytest.raises(MeterError, match="already registered"):
-        m.register("a", 1)
-    with pytest.raises(MeterError, match="unknown"):
-        m.release("b")
-    with pytest.raises(MeterError, match="non-negative"):
-        m.register("c", -1)
 
 
 def _tree():
@@ -183,14 +160,26 @@ def test_reach_balanced_requires_root_bag():
         reach_balanced(g, tree, 1, 3)
 
 
-def test_reach_balanced_meter_released():
+def test_reach_balanced_peak_bits_covers_vectors():
+    # two marking vectors and the scope scratch, (width+1)(depth+1) bits each
     g, td = gen_ktree(KTreeSpec(n=8, k=1, seed=0))
     tree = build_balanced(g, td).augment({1, 8})
-    meter = SpaceMeter()
-    ok = reach_balanced(g, tree, 1, 8, meter=meter)
-    assert ok == bfs_reachable(g, 1, 8)
-    assert meter.current_bits == 0
-    assert meter.peak_bits >= 3 * (tree.width() + 1) * (tree.depth() + 1)
+    rep = reach_balanced(g, tree, 1, 8, report=True)
+    assert rep.reachable == bfs_reachable(g, 1, 8)
+    assert rep.peak_bits >= 3 * (tree.width() + 1) * (tree.depth() + 1)
+
+
+def test_runners_share_the_graph_successor_masks():
+    # the first walk fills the graph's cached masks; later queries reuse them
+    g, td = gen_ktree(KTreeSpec(n=24, k=2, seed=3))
+    balanced = build_balanced(g, td)
+    assert "succ_mask" not in vars(g)
+    masks = None
+    for u, v in ((1, 2), (3, 4), (5, 1)):
+        ok = reach_balanced(g, balanced.augment({u, v}), u, v)
+        assert ok == bfs_reachable(g, u, v)
+        masks = masks or vars(g)["succ_mask"]
+        assert vars(g)["succ_mask"] is masks
 
 
 def test_reach_matches_bfs_small_corpus():

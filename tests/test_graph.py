@@ -157,6 +157,9 @@ def test_mask_search_matches_bruteforce():
         assert undirected_components(g, removed) == want
         alive = vertex_mask(range(1, g.n + 1)) & ~vertex_mask(removed)
         assert g.vertices_mask == vertex_mask(range(1, g.n + 1))
+        # successor masks drop self-loops, as `succ` does
+        assert g.succ_mask == [vertex_mask(y for x, y in g.arcs if x == u != y)
+                               for u in range(g.n + 1)]
         for comp in want:
             assert members(vertex_mask(comp)) == comp
             r = rng.choice(comp)

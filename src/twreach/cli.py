@@ -102,6 +102,7 @@ def cmd_reach(args) -> int:
         print(f"iterations: {report.iterations}")
         print(f"memo_entries: {report.memo_entries}")
         print(f"step_entries: {report.step_entries}")
+        print(f"state_entries: {report.state_entries}")
         print(f"width_balanced: {report.width_balanced}")
         print(f"depth_balanced: {report.depth_balanced}")
         print(f"n: {report.n}")

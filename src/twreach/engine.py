@@ -10,10 +10,13 @@ each block of the schedule by `LeafSeq.parts`. Every block begins with one
 step at its subtree's first leaf (`LeafSeq.first_leaves`); the block's caller
 takes that step, and the outcome of an inner block is memoized on (subtree,
 budget, state after that step), which the schedule repeats massively. It is
-one local recursive function of `_Runner.run_fast`, with the child lists,
-scope sizes, step cache, `parts`, first leaves and memo bound once per run.
-It also returns each block's length, so a run makes no separate pass over the
-schedule, and the per-query set-up is linear in the tree: every node's scope
+one local recursive function of `_Runner.run_fast` over a list of blocks,
+with the child lists, scope sizes, step cache, `parts`, first leaves and memo
+bound once per run; its loop looks the memo and the step cache up itself and
+runs leaf blocks inline. States are indices, each distinct mask interned once
+with its popcount. The walk also returns each block's length, so a run makes
+no separate pass over the schedule, and the per-query set-up is linear in the
+tree: every node's scope
 (the bags on its root path) is one vertex mask, filled from its parent's in a
 single preorder pass. The literal iteration-by-iteration walk ("loop") is
 kept as the reference the tests compare it with: both give bit-identical
@@ -95,6 +98,7 @@ class ReachReport:
     engine: str
     memo_entries: int = 0  # inner-block memo size when the walk ends; 0 for "loop"
     step_entries: int = 0  # step-cache size when the walk ends
+    state_entries: int = 0  # distinct states the walk held
 
 
 class _Runner:
@@ -110,96 +114,110 @@ class _Runner:
             scope[x] = vertex_mask(tree.bag(x)) | scope.get(tree.parent(x), 0)
         self.scope_mask = scope
         self.scope_size = {x: m.bit_count() for x, m in scope.items()}
-        self._step_cache: dict[tuple[int, int], int] = {}
-        # one object per state value, so the step cache and the memo share
-        # each state instead of holding a fresh int per cache miss
-        self._states: dict[int, int] = {}
+        # state i is the vertex mask masks[i], of popcount pops[i]
+        self.masks: list[int] = []
+        self.pops: list[int] = []
+        self._index: dict[int, int] = {}
+        self._step_cache: dict[tuple[int, int], int] = {}  # (leaf, i) -> j
         self.memo: dict[tuple[int, int, int], tuple[int, int, int]] = {}
 
-    def step(self, f: int, prev: int) -> int:
-        """One iteration: marks of the fresh vector scoped to leaf f."""
-        hit = self._step_cache.get((f, prev))
+    def state(self, mask: int) -> int:
+        """Index of the state `mask`, interned with its popcount on first sight."""
+        i = self._index.get(mask)
+        if i is None:
+            i = self._index[mask] = len(self.masks)
+            self.masks.append(mask)
+            self.pops.append(mask.bit_count())
+        return i
+
+    def step(self, f: int, i: int) -> int:
+        """One iteration from state i: the state of the fresh vector scoped to leaf f."""
+        hit = self._step_cache.get((f, i))
         if hit is not None:
             return hit
-        cur = m = prev
+        cur = m = self.masks[i]
         succ = self.g.succ_mask
         while m:
             low = m & -m
             cur |= succ[low.bit_length() - 1]
             m ^= low
-        cur &= self.scope_mask[f]
-        states = self._states
-        cur = states.setdefault(cur, cur)
-        self._step_cache[f, states.setdefault(prev, prev)] = cur
-        return cur
+        j = self._step_cache[f, i] = self.state(cur & self.scope_mask[f])
+        return j
 
     def run_loop(self, t: int, d: int, initial: int) -> tuple[int, int, int]:
         """Literal walk of the schedule. Returns (final state, iterations, work)."""
-        state = initial
-        iters = 0
-        work = 0
+        i = self.state(initial)
+        iters = work = 0
         size = self.scope_size
+        pops = self.pops
         for f in LeafSeq(self.tree, t, d):
             iters += 1
-            work += state.bit_count() * size[f]
-            state = self.step(f, state)
-        return state, iters, work
+            work += pops[i] * size[f]
+            i = self.step(f, i)
+        return self.masks[i], iters, work
 
     def run_fast(self, t: int, d: int, initial: int) -> tuple[int, int, int]:
         """Block-memoized walk, extensionally identical to run_loop.
 
         Every block (t, d) begins with one step at t's first leaf, so its
-        outcome depends on the entry state only through that step. The caller
-        of a block takes that step (the first part of an inner block shares
-        its parent's, and run_fast takes the root's), and inner blocks are
-        memoized on (t, d, state after the step); `self.memo` keeps the
-        last run's memo. Leaf blocks are not memoized: marks at a fixed leaf
-        are monotone, so a leaf block stops at the first repeated state.
+        outcome depends on the entry state only through that step. `walk`
+        runs a list of consecutive blocks whose first step is already taken
+        and takes every later block's first step itself; an inner block is
+        `walk(parts(t, d), i)`, memoized on (t, d, i) for the state index i
+        after its first step (`self.memo` keeps the last run's memo). The
+        loop looks the memo and the step cache up itself, calling `walk` or
+        `step` only on a miss, and runs leaf blocks inline: marks at a fixed
+        leaf are monotone, so a leaf block stops at the first repeated state.
         """
         children = self.tree.ordered_children
         size = self.scope_size
+        pops = self.pops
         step = self.step
+        cache = self._step_cache
         seq = LeafSeq(self.tree, t, d)
         parts = seq.parts
         first = seq.first_leaves()
         memo = self.memo = {}
 
-        def block(t: int, d: int, state: int) -> tuple[int, int, int]:
-            """(final state, work, length) of block (t, d) after its first
-            step, entered with the state that step left."""
-            if not children[t]:
-                scope = size[t]
-                work = steps = 0
-                for steps in range(1, d):
-                    nxt = step(t, state)
-                    work += state.bit_count() * scope
-                    if nxt == state:
+        def walk(blocks: list[tuple[int, int]], i: int) -> tuple[int, int, int]:
+            """(final state, work, length after the first step) of the blocks."""
+            work = 0
+            length = -1  # the first block's first step is already taken
+            for sub, c in blocks:
+                if length >= 0:  # a later block: take its first step
+                    f = first[sub]
+                    work += pops[i] * size[f]
+                    j = cache.get((f, i))
+                    i = step(f, i) if j is None else j
+                if children[sub]:
+                    hit = memo.get((sub, c, i))
+                    if hit is None:
+                        hit = memo[sub, c, i] = walk(parts(sub, c), i)
+                    i, w, n = hit
+                    work += w
+                    length += n + 1
+                    continue
+                scope = size[sub]
+                steps = 0
+                for steps in range(1, c):
+                    j = cache.get((sub, i))
+                    j = step(sub, i) if j is None else j
+                    work += pops[i] * scope
+                    if j == i:
                         break
-                    state = nxt
+                    i = j
                 # the remaining repetitions leave the state unchanged
-                return state, work + (d - 1 - steps) * state.bit_count() * scope, d - 1
-            key = (t, d, state)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            # the first part begins with this block's first step, already taken
-            (sub, c), *rest = parts(t, d)
-            state, work, length = block(sub, c, state)
-            for sub, c in rest:
-                f = first[sub]
-                work += state.bit_count() * size[f]
-                state, w, n = block(sub, c, step(f, state))
-                work += w
-                length += n + 1
-            out = memo[key] = (state, work, length)
-            return out
+                work += (c - 1 - steps) * pops[i] * scope
+                length += c
+            return i, work, length
 
         f = first[t]
+        i0 = self.state(initial)
         try:
-            state, work, length = block(t, d, step(f, initial))
+            i, work, length = walk([(t, d)], step(f, i0))
         finally:
-            del block  # the closure refers to itself: break the cycle
-        return state, length + 1, work + initial.bit_count() * size[f]
+            del walk  # the closure refers to itself: break the cycle
+        return self.masks[i], length + 1, work + pops[i0] * size[f]
 
 
 def _declared_bits(width: int, depth: int, n_nodes: int, n: int, seq_len: int) -> int:
@@ -247,7 +265,8 @@ def reach_balanced(g: DiGraph, tree: BalancedTD, u: int, v: int,
                        n=n, d=d_total,
                        width_balanced=width, depth_balanced=depth, engine=engine,
                        memo_entries=len(runner.memo),
-                       step_entries=len(runner._step_cache))
+                       step_entries=len(runner._step_cache),
+                       state_entries=len(runner.masks))
 
 
 def reach(g: DiGraph, t: TreeDecomp, u: int, v: int,

@@ -161,6 +161,7 @@ def test_reach_meter(path_files, capsys):
     assert "peak_bits:" in out and "iterations:" in out and "w_input: 1" in out
     assert int(out.split("memo_entries: ")[1].split()[0]) > 0
     assert int(out.split("step_entries: ")[1].split()[0]) > 0
+    assert int(out.split("state_entries: ")[1].split()[0]) > 0
 
 
 def test_reach_bfs_engine(path_files, capsys):

@@ -207,6 +207,7 @@ def test_reach_short_circuit_components():
     assert not ok
     assert report.engine == "short-circuit"
     assert report.iterations == 0 and report.peak_bits == 0 and report.memo_entries == 0
+    assert report.state_entries == 0
 
 
 def test_reach_rejects_invalid_td():
@@ -252,8 +253,23 @@ def test_engine_selection():
     assert not hasattr(r1, "__dict__")  # reports keep their fields in slots
     # the memoized walk steps only at (leaf, state) pairs the literal walk meets
     assert 0 < r2.step_entries <= r1.step_entries
+    assert 0 < r2.state_entries <= r1.state_entries
     with pytest.raises(ValueError, match="unknown engine"):
         reach(g, td, 1, 8, engine="quantum")
+
+
+def _bench_query(n):
+    """The gen.bench_one instance at k=3, seed 7: (graph, decomposition, u, v)."""
+    spec = KTreeSpec(n=n, k=3, seed=7)
+    g, td = gen_ktree(spec)
+    rng = random.Random(spec.seed ^ 0x5EED)
+    u = rng.randrange(1, n + 1)
+    v = rng.randrange(1, n + 1)
+    return g, td, u, v
+
+
+# distinct states the walk interns on the query below, beside its memo entries
+_STATE_ENTRIES = {64: 49, 256: 278, 1024: 848}
 
 
 @pytest.mark.parametrize("n, want, memo_entries", [
@@ -264,34 +280,51 @@ def test_engine_selection():
 def test_bench_query_accounting(n, want, memo_entries):
     # the gen.bench_one query at k=3, seed 7: a walk change that moves the
     # accounting or which blocks are memoized fails here
-    spec = KTreeSpec(n=n, k=3, seed=7)
-    g, td = gen_ktree(spec)
-    rng = random.Random(spec.seed ^ 0x5EED)
-    u = rng.randrange(1, n + 1)
-    v = rng.randrange(1, n + 1)
+    g, td, u, v = _bench_query(n)
     _, rep = reach(g, td, u, v)
     assert (rep.reachable, rep.iterations, rep.relax_work, rep.peak_bits) == want
-    assert rep.memo_entries == memo_entries
+    assert (rep.memo_entries, rep.state_entries) == (memo_entries, _STATE_ENTRIES[n])
 
 
-def test_walk_holds_one_object_per_state():
-    # the memo and the step cache share each state value instead of holding
-    # a fresh int per step-cache miss
+@pytest.mark.parametrize("n, calls", [(64, 118), (256, 624), (1024, 2156)])
+def test_walk_steps_each_pair_once(n, calls):
+    # the walk looks the step cache up itself and calls step only on a miss,
+    # so on a fresh runner each (leaf, state) pair is computed exactly once
+    g, td, u, v = _bench_query(n)
+    tree = build_balanced(g, td).augment({u, v})
+    runner = _Runner(g, tree)
+    seen = []
+    plain = runner.step
+    runner.step = lambda f, i: seen.append((f, i)) or plain(f, i)
+    runner.run_fast(tree.root, 1 << (n - 1).bit_length(), 1 << u)
+    assert len(seen) == len(set(seen)) == len(runner._step_cache) == calls
+
+
+def test_walk_interns_each_state_once():
+    # the walks hold states as indices into runner.masks: each mask once,
+    # with its popcount, and the memo and the step cache hold indices only
     for n, seed in ((64, 7), (256, 7), (90, 3)):
         g, td = gen_ktree(KTreeSpec(n=n, k=3, seed=seed))
         tree = build_balanced(g, td).augment({1, n})
         d = 1 << (n - 1).bit_length()
-        scope = _Runner(g, tree).scope_mask[LeafSeq(tree, tree.root, d).element(1)]
+        leaf = LeafSeq(tree, tree.root, d).element(1)
+        scope = _Runner(g, tree).scope_mask[leaf]
         # the first leaf's whole scope is a fixed point of the first step, so
-        # that step's result equals its (separately built) entry state
+        # that step builds a mask equal to its (separately built) entry state
         for initial in (1 << 1, (scope << 1) >> 1):
             runner = _Runner(g, tree)
             runner.run_fast(tree.root, d, initial)
+            masks = runner.masks
+            assert runner.memo and len(set(masks)) == len(masks)
+            assert runner.pops == [m.bit_count() for m in masks]
             held = [s for (_, _, s), (s2, _, _) in runner.memo.items() for s in (s, s2)]
             held += [s for (_, p), s in runner._step_cache.items() for s in (p, s)]
-            assert runner.memo and len(set(held)) < len(held)
-            first = {}
-            assert all(first.setdefault(s, s) is s for s in held)
+            assert all(type(s) is int and 0 <= s < len(masks) for s in held)
+            held_states = len(masks)
+            i = runner.state(initial)
+            assert masks[i] == initial and len(masks) == held_states
+            if initial != 1 << 1:
+                assert runner._step_cache[leaf, i] == i
 
 
 def test_walk_follows_leafseq_parts(monkeypatch):

@@ -105,7 +105,7 @@ def main(argv: list[str]) -> int:
             for side in order:
                 g, tree, u, v = inputs[side]
                 start = time.perf_counter()
-                rep = sides[side]["engine"].reach_balanced(g, tree, u, v, report=True)
+                sides[side]["engine"].reach_balanced(g, tree, u, v, report=True)
                 times[side].append(time.perf_counter() - start)
         for side, tw in sides.items():
             g, tree, u, v = inputs[side]
@@ -134,7 +134,8 @@ def main(argv: list[str]) -> int:
                    "draws them",
            "grid": {"k": K, "seed": SEED, "n": list(GRID)}, "fields": FIELDS,
            "host": f"{os.cpu_count()}-vCPU {platform.system()}, Python {platform.python_version()}",
-           "how": f"python3 scripts/bench_states.py {parent}=<its src> {change}=<its src>",
+           "how": f"python3 scripts/bench_states.py {parent}=<its src> {change}=<its src>"
+                  " > BENCH_states.json",
            "sides": {"parent": parent, "change": change}, **rows}
     print(json.dumps(doc, indent=1))
     return 0

@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Compare the marking walk of two twreach checkouts on the k-tree grid.
 
-    python3 scripts/bench_states.py PARENT=PARENT_SRC CHANGE=CHANGE_SRC > BENCH_states.json
+    python3 scripts/bench_states.py PARENT=PARENT_SRC CHANGE=CHANGE_SRC > BENCH_name.json
 
 Each argument names a side (a commit, say) and the `src` directory holding
 its `twreach` package. Both are imported side by side in one process (as
 `twreach_parent` and `twreach_change`). For each n of the grid (k=3, seed 7,
 the query pair drawn as `gen.bench_one` draws it) each side balances and
-augments once; then `reach_balanced` is timed 15 times per side (7 times from
-n = 1024 on), alternating parent and change call by call, parent first on
-even rounds. One more call per side runs under tracemalloc for the heap peak,
-and one `_Runner.run_fast` on a fresh runner gives the memo, step-cache and
-state entries. It exits 1 when the two sides' answers, accounting, memo or
-step entries differ.
+augments once; then each round times, per side, one `reach_balanced` call on
+the augmented tree and one `augment({u, v})` of the balanced tree followed by
+`reach_balanced` (what a query on an already balanced graph costs). There are
+15 rounds (7 from n = 1024 on), alternating parent and change call by call,
+parent first on even rounds. One more call per side runs under tracemalloc
+for the heap peak, and one `_Runner.run_fast` on a fresh runner gives the
+memo, step-cache and state entries. It exits 1 when the two sides' answers, accounting, memo,
+step or state entries differ.
 """
 from __future__ import annotations
 
@@ -49,8 +51,12 @@ def prepare(tw, n: int):
     rng = random.Random(spec.seed ^ 0x5EED)
     u = rng.randrange(1, n + 1)
     v = rng.randrange(1, n + 1)
-    tree = tw["recursive"].build_balanced(g, td).augment({u, v})
-    return g, tree, u, v
+    base = tw["recursive"].build_balanced(g, td)
+    return g, base, base.augment({u, v}), u, v
+
+
+def augment_reach(eng, g, base, u: int, v: int) -> None:
+    eng.reach_balanced(g, base.augment({u, v}), u, v, report=True)
 
 
 def entries(tw, g, tree, u: int) -> dict:
@@ -74,8 +80,11 @@ def heap_peak_mib(eng, g, tree, u: int, v: int) -> float:
 
 FIELDS = {
     "reach_balanced_s": "median seconds of one engine.reach_balanced(g, tree, u, v, report=True) call",
-    "q1_s": "first quartile", "q3_s": "third quartile",
-    "runs": "timed calls per side, parent and change alternating call by call",
+    "reach_balanced_q1_s": "first quartile", "reach_balanced_q3_s": "third quartile",
+    "augment_reach_s": "median seconds of build_balanced(g, td).augment({u, v}) followed by "
+                       "that reach_balanced call, the balanced tree built once beforehand",
+    "augment_reach_q1_s": "first quartile", "augment_reach_q3_s": "third quartile",
+    "runs": "timed calls per side and kind, parent and change alternating call by call",
     "heap_peak_mib": "tracemalloc peak over one more reach_balanced call",
     "memo_entries": "len(_Runner.memo) after one run_fast on a fresh runner",
     "step_entries": "len(_Runner._step_cache) after that run",
@@ -85,7 +94,21 @@ FIELDS = {
     "relax_work": "ReachReport.relax_work", "peak_bits": "ReachReport.peak_bits",
     "time_ratio_median": "median over the paired calls of change time / parent time",
     "pair_wins": "paired calls in which the change was faster",
+    "augment_reach_time_ratio_median": "time_ratio_median of the augment_reach_s calls",
+    "augment_reach_pair_wins": "pair_wins of the augment_reach_s calls",
 }
+
+
+def quartiles(times: list[float], prefix: str) -> dict:
+    q1, med, q3 = statistics.quantiles(times, n=4)
+    return {f"{prefix}s": round(med, 5), f"{prefix}q1_s": round(q1, 5),
+            f"{prefix}q3_s": round(q3, 5)}
+
+
+def paired(parent: list[float], change: list[float], prefix: str) -> dict:
+    ratios = [c / p for p, c in zip(parent, change)]
+    return {f"{prefix}time_ratio_median": round(statistics.median(ratios), 3),
+            f"{prefix}pair_wins": sum(r < 1 for r in ratios)}
 
 
 def main(argv: list[str]) -> int:
@@ -100,32 +123,36 @@ def main(argv: list[str]) -> int:
         runs = 15 if n <= 256 else 7
         inputs = {side: prepare(tw, n) for side, tw in sides.items()}
         times: dict[str, list[float]] = {side: [] for side in sides}
+        aug_times: dict[str, list[float]] = {side: [] for side in sides}
         for r in range(runs):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for side in order:
-                g, tree, u, v = inputs[side]
+                g, base, tree, u, v = inputs[side]
                 start = time.perf_counter()
                 sides[side]["engine"].reach_balanced(g, tree, u, v, report=True)
                 times[side].append(time.perf_counter() - start)
+            for side in order:
+                g, base, tree, u, v = inputs[side]
+                start = time.perf_counter()
+                augment_reach(sides[side]["engine"], g, base, u, v)
+                aug_times[side].append(time.perf_counter() - start)
         for side, tw in sides.items():
-            g, tree, u, v = inputs[side]
+            g, base, tree, u, v = inputs[side]
             rep = tw["engine"].reach_balanced(g, tree, u, v, report=True)
-            q1, med, q3 = statistics.quantiles(times[side], n=4)
-            row = {"n": n, "reach_balanced_s": round(med, 5), "q1_s": round(q1, 5),
-                   "q3_s": round(q3, 5), "runs": runs,
+            row = {"n": n, **quartiles(times[side], "reach_balanced_"),
+                   **quartiles(aug_times[side], "augment_reach_"), "runs": runs,
                    "heap_peak_mib": round(heap_peak_mib(tw["engine"], g, tree, u, v), 3),
                    **entries(tw, g, tree, u),
                    "reachable": rep.reachable, "iterations": rep.iterations,
                    "relax_work": rep.relax_work, "peak_bits": rep.peak_bits}
             if side == "change":
-                ratios = [c / p for p, c in zip(times["parent"], times["change"])]
-                row["time_ratio_median"] = round(statistics.median(ratios), 3)
-                row["pair_wins"] = sum(r < 1 for r in ratios)
+                row.update(paired(times["parent"], times["change"], ""))
+                row.update(paired(aug_times["parent"], aug_times["change"], "augment_reach_"))
             rows[side].append(row)
         print(f"n={n} done", file=sys.stderr, flush=True)
     for p, c in zip(rows["parent"], rows["change"]):
         for key in ("reachable", "iterations", "relax_work", "peak_bits",
-                    "memo_entries", "step_entries"):
+                    "memo_entries", "step_entries", "state_entries"):
             if p[key] != c[key]:
                 print(f"n={p['n']}: {key} differs: {p[key]} != {c[key]}", file=sys.stderr)
                 return 1
@@ -134,8 +161,8 @@ def main(argv: list[str]) -> int:
                    "draws them",
            "grid": {"k": K, "seed": SEED, "n": list(GRID)}, "fields": FIELDS,
            "host": f"{os.cpu_count()}-vCPU {platform.system()}, Python {platform.python_version()}",
-           "how": f"python3 scripts/bench_states.py {parent}=<its src> {change}=<its src>"
-                  " > BENCH_states.json",
+           "how": f"python3 scripts/bench_states.py {parent}=<its src> {change}=<its src>,"
+                  " standard output redirected to this file",
            "sides": {"parent": parent, "change": change}, **rows}
     print(json.dumps(doc, indent=1))
     return 0

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-from .graph import DiGraph, VertexSet, text_lines, vset
+from .graph import DiGraph, VertexSet, text_lines, vertex_mask, vset
 
 
 class TdFormatError(ValueError):
@@ -130,7 +130,7 @@ class TreeDecomp:
     `bags` maps node-id to a canonical VertexSet; `edges` is the tree edge set;
     `root` is optional and only required by depth-sensitive operations. The
     shape (`_walk` from the root, else from the smallest id) is computed on
-    first use and shared by `augment`.
+    first use and shared by `augment`, which carries the scope masks too.
     """
 
     def __init__(self, bags: dict[int, Iterable[int]], edges: Iterable[tuple[int, int]],
@@ -202,12 +202,26 @@ class TreeDecomp:
         self._rooted_shape()
         return max(self._depth_of.values())
 
+    @cached_property
+    def scope_masks(self) -> dict[int, int]:
+        """Vertex mask of the bags on each node's path from the shape's root;
+        one preorder pass fills every parent before its children."""
+        order, parent, _ = self._shape
+        scope: dict[int, int] = {}
+        for x in order:  # the root's parent, None, has no scope
+            scope[x] = vertex_mask(self.bags[x]) | scope.get(parent[x], 0)
+        return scope
+
     def augment(self, s: Iterable[int]) -> "TreeDecomp":
-        """Every bag replaced by bag union s (still valid); the shape is shared."""
+        """Every bag replaced by bag union s (still valid); the shape is shared,
+        and every scope mask is the base's with s added."""
         extra = set(s)
         out = copy.copy(self)
-        out.bags = {i: vset(extra.union(b)) for i, b in self.bags.items()}
+        # canonical as vset makes them: the union is already a set
+        out.bags = {i: tuple(sorted(extra.union(b))) for i, b in self.bags.items()}
         out.__dict__.pop("rooting", None)  # `rooting.top` depends on the bags
+        add = vertex_mask(extra)
+        out.scope_masks = {x: m | add for x, m in self.scope_masks.items()}
         return out
 
     def __repr__(self):

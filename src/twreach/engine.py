@@ -6,28 +6,29 @@ reachable from the previously marked set by at most one arc (or equal to a
 marked vertex).
 
 The production evaluator ("fast", also what the default "auto" runs) splits
-each block of the schedule by `LeafSeq.parts`. Every block begins with one
-step at its subtree's first leaf (`LeafSeq.first_leaves`); the block's caller
+each block of the schedule by `LeafSeq.parts`, read once per inner node and
+run: the parts at budget 1, and the parts at budget 2, which serve every
+budget c > 1 scaled by c/2. Every block begins with one step at its subtree's
+first leaf (the first leaf of its first part at budget 1); the block's caller
 takes that step, and the outcome of an inner block is memoized on (subtree,
 budget, state after that step), which the schedule repeats massively. It is
-one local recursive function of `_Runner.run_fast` over a list of blocks,
-with the child lists, scope sizes, step cache, `parts`, first leaves and memo
-bound once per run; its loop looks the memo and the step cache up itself and
-runs leaf blocks inline. States are indices, each distinct mask interned once
-with its popcount. The walk also returns each block's length, so a run makes
-no separate pass over the schedule, and the per-query set-up is linear in the
-tree: every node's scope
-(the bags on its root path) is one vertex mask, filled from its parent's in a
-single preorder pass. The literal iteration-by-iteration walk ("loop") is
-kept as the reference the tests compare it with: both give bit-identical
-results and accounting.
+one local recursive function of `_Runner.run_fast` over (node, budget,
+state); its loop looks the memo and the step cache up itself and runs leaf
+blocks inline. States are indices, each distinct mask interned once with its
+popcount and, on its first step-cache miss, its successor closure. The walk
+also returns each block's length, so a run makes no separate pass over the
+schedule. The per-query set-up reads the tree's scope masks (each node's
+root-path bags as one vertex mask), which `augment` carries from the base
+tree. The literal iteration-by-iteration walk ("loop") is kept as the
+reference the tests compare it with: both give bit-identical results and
+accounting.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .decomp import BalancedTD, TreeDecomp, validate_td
-from .graph import DiGraph, VertexSet, undirected_components, vertex_mask, vset
+from .graph import DiGraph, VertexSet, undirected_components, vset
 from .recursive import build_balanced
 from .sequences import LeafSeq
 # Not called here since the walk recurses through LeafSeq.parts; kept as
@@ -107,16 +108,13 @@ class _Runner:
     def __init__(self, g: DiGraph, tree: BalancedTD):
         self.g = g
         self.tree = tree
-        # scope of node x: the bags on the root-to-x path, as a mask over
-        # vertex ids; one preorder pass fills every parent before its children
-        scope: dict[int, int] = {}
-        for x in tree.preorder:  # the root's parent, None, has no scope
-            scope[x] = vertex_mask(tree.bag(x)) | scope.get(tree.parent(x), 0)
-        self.scope_mask = scope
+        self.scope_mask = scope = tree.scope_masks  # carried through augment
         self.scope_size = {x: m.bit_count() for x, m in scope.items()}
-        # state i is the vertex mask masks[i], of popcount pops[i]
+        # state i is the vertex mask masks[i], of popcount pops[i]; closures[i]
+        # is its successor closure once a step from it has missed the cache
         self.masks: list[int] = []
         self.pops: list[int] = []
+        self.closures: list[int | None] = []
         self._index: dict[int, int] = {}
         self._step_cache: dict[tuple[int, int], int] = {}  # (leaf, i) -> j
         self.memo: dict[tuple[int, int, int], tuple[int, int, int]] = {}
@@ -128,19 +126,28 @@ class _Runner:
             i = self._index[mask] = len(self.masks)
             self.masks.append(mask)
             self.pops.append(mask.bit_count())
+            self.closures.append(None)
         return i
+
+    def close(self, i: int) -> int:
+        """Successor closure R | N+(R) of state i's mask R, kept in closures[i]."""
+        cur = m = self.masks[i]
+        succ = self.g.succ_mask
+        while m:
+            top = m.bit_length() - 1
+            m ^= 1 << top
+            cur |= succ[top]
+        self.closures[i] = cur
+        return cur
 
     def step(self, f: int, i: int) -> int:
         """One iteration from state i: the state of the fresh vector scoped to leaf f."""
         hit = self._step_cache.get((f, i))
         if hit is not None:
             return hit
-        cur = m = self.masks[i]
-        succ = self.g.succ_mask
-        while m:
-            low = m & -m
-            cur |= succ[low.bit_length() - 1]
-            m ^= low
+        cur = self.closures[i]
+        if cur is None:
+            cur = self.close(i)
         j = self._step_cache[f, i] = self.state(cur & self.scope_mask[f])
         return j
 
@@ -160,46 +167,62 @@ class _Runner:
         """Block-memoized walk, extensionally identical to run_loop.
 
         Every block (t, d) begins with one step at t's first leaf, so its
-        outcome depends on the entry state only through that step. `walk`
-        runs a list of consecutive blocks whose first step is already taken
-        and takes every later block's first step itself; an inner block is
-        `walk(parts(t, d), i)`, memoized on (t, d, i) for the state index i
-        after its first step (`self.memo` keeps the last run's memo). The
-        loop looks the memo and the step cache up itself, calling `walk` or
-        `step` only on a miss, and runs leaf blocks inline: marks at a fixed
-        leaf are monotone, so a leaf block stops at the first repeated state.
+        outcome depends on the entry state only through that step. `walk(t,
+        c, i)` runs block (t, c) from state index i after that step, taking
+        every later part's first step itself; its memo entry is (t, c, i)
+        (`self.memo` keeps the last run's memo). The parts follow t's plan:
+        its sub-block order read once per run from `LeafSeq.parts(t, 1)` for
+        c = 1 and from `parts(t, 2)` for c > 1, scaled by c/2 (t itself runs
+        at c/2, every other part at c). The run's block (t, d) is the one
+        part of a virtual parent, None. The loop looks the memo and the step
+        cache up itself, calling `walk` or `step` only on a miss, and runs
+        leaf blocks inline: marks at a fixed leaf are monotone, so a leaf
+        block stops at the first repeated state.
         """
-        children = self.tree.ordered_children
+        tree = self.tree
+        children = tree.ordered_children
         size = self.scope_size
         pops = self.pops
         step = self.step
         cache = self._step_cache
-        seq = LeafSeq(self.tree, t, d)
-        parts = seq.parts
-        first = seq.first_leaves()
+        parts = LeafSeq(tree, t, d).parts
+        # plans[x]: the parts of inner node x at c = 1 and at c > 1. A block
+        # of x at any budget begins with its block at 1 (U_s begins with
+        # U_(s-1)), so with the first leaf of its first part there
+        plans = {None: ((t,), (t,))}
+        first: dict[int, int] = {}
+        for x in reversed(tree.preorder):  # children before their parents
+            if children[x]:
+                one = [sub for sub, _ in parts(x, 1)]
+                plans[x] = (one, [sub for sub, _ in parts(x, 2)])
+                first[x] = first[one[0]]
+            else:
+                first[x] = x
         memo = self.memo = {}
 
-        def walk(blocks: list[tuple[int, int]], i: int) -> tuple[int, int, int]:
-            """(final state, work, length after the first step) of the blocks."""
+        def walk(t: int | None, c: int, i: int) -> tuple[int, int, int]:
+            """(final state, work, length after the first step) of block (t, c)."""
+            half = c >> 1
             work = 0
-            length = -1  # the first block's first step is already taken
-            for sub, c in blocks:
-                if length >= 0:  # a later block: take its first step
+            length = -1  # the first part's first step is already taken
+            for sub in plans[t][c > 1]:
+                b = half if sub == t else c
+                if length >= 0:  # a later part: take its first step
                     f = first[sub]
                     work += pops[i] * size[f]
                     j = cache.get((f, i))
                     i = step(f, i) if j is None else j
                 if children[sub]:
-                    hit = memo.get((sub, c, i))
+                    hit = memo.get((sub, b, i))
                     if hit is None:
-                        hit = memo[sub, c, i] = walk(parts(sub, c), i)
+                        hit = memo[sub, b, i] = walk(sub, b, i)
                     i, w, n = hit
                     work += w
                     length += n + 1
                     continue
                 scope = size[sub]
                 steps = 0
-                for steps in range(1, c):
+                for steps in range(1, b):
                     j = cache.get((sub, i))
                     j = step(sub, i) if j is None else j
                     work += pops[i] * scope
@@ -207,14 +230,14 @@ class _Runner:
                         break
                     i = j
                 # the remaining repetitions leave the state unchanged
-                work += (c - 1 - steps) * pops[i] * scope
-                length += c
+                work += (b - 1 - steps) * pops[i] * scope
+                length += b
             return i, work, length
 
         f = first[t]
         i0 = self.state(initial)
         try:
-            i, work, length = walk([(t, d)], step(f, i0))
+            i, work, length = walk(None, d, step(f, i0))
         finally:
             del walk  # the closure refers to itself: break the cycle
         return self.masks[i], length + 1, work + pops[i0] * size[f]

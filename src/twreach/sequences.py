@@ -116,19 +116,6 @@ class LeafSeq:
         half = (t, d >> 1)
         return [half, *kids, half]
 
-    def first_leaves(self) -> dict[int, int]:
-        """First leaf of every node's blocks, at every budget.
-
-        A block of t at budget d begins with t's block at d/2 (U_s begins with
-        U_{s-1}), down to d = 1, so one descent through the first part of
-        `parts(t, 1)` serves every budget. Children are filled before their
-        parents by a reverse preorder pass.
-        """
-        first: dict[int, int] = {}
-        for x in reversed(self.tree.preorder):
-            first[x] = x if self.tree.is_leaf(x) else first[self.parts(x, 1)[0][0]]
-        return first
-
     def block_length(self, t: int, d: int) -> int:
         cache = self._len_cache
         if (t, d) in cache:

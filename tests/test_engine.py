@@ -1,3 +1,5 @@
+import collections
+import copy
 import gc
 import itertools
 import random
@@ -9,7 +11,7 @@ from twreach.decomp import BalancedTD, TreeDecomp
 from twreach.engine import (AncestorOrder, ReachReport, _Runner, ancestor_vertices,
                             gad_view, reach, reach_balanced)
 from twreach.gen import KTreeSpec, gen_ktree
-from twreach.graph import DiGraph, bfs_reachable
+from twreach.graph import DiGraph, bfs_reachable, vertex_mask
 from twreach.recursive import build_balanced
 from twreach.sequences import LeafSeq
 
@@ -379,3 +381,70 @@ def test_walk_first_leaf_is_schedule_start(monkeypatch):
                 for d in (1, 2, 4, 8, 16):
                     assert _walk_first_leaf(runner, t, d) == \
                         LeafSeq(tree, t, d).element(1), (patch, t, d)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_walk_closes_each_state_once(n):
+    # a state's successor closure is computed on its first step-cache miss
+    # and kept: once per distinct state stepped from, never per (leaf, state)
+    g, td, u, v = _bench_query(n)
+    tree = build_balanced(g, td).augment({u, v})
+    runner = _Runner(g, tree)
+    closed = []
+    plain = runner.close
+    runner.close = lambda i: closed.append(i) or plain(i)
+    runner.run_fast(tree.root, 1 << (n - 1).bit_length(), 1 << u)
+    stepped_from = {i for _, i in runner._step_cache}
+    assert len(closed) == len(set(closed)) == len(stepped_from) < len(runner._step_cache)
+    assert set(closed) == stepped_from
+    for i in stepped_from:
+        mask = runner.masks[i]
+        want = mask | vertex_mask(y for x, y in g.arcs if x != y and mask >> x & 1)
+        assert runner.closures[i] == want
+
+
+def test_augment_carries_scope_masks():
+    # augment gives every node the base's scope mask with s added: the same
+    # mask as the root-path bags of the augmented tree, whether or not the
+    # base had computed its masks, and again on an augmented tree
+    rng = random.Random(21)
+    instances = [_random_walk_instance(rng) for _ in range(60)]
+    for seed in range(6):
+        g, td = gen_ktree(KTreeSpec(n=20 + 10 * seed, k=1 + seed % 3, seed=seed))
+        instances.append((g, build_balanced(g, td)))
+
+    def scope(tree, x):
+        return vertex_mask(ancestor_vertices(tree, x).vertices)
+
+    for g, base in instances:
+        covered = sorted({v for b in base.bags.values() for v in b})
+        top = max(covered, default=0)
+        sets = [set(), set(rng.sample(covered, min(2, len(covered)))),
+                {top + 1, top + rng.randint(2, 5)}]
+        for s in sets:
+            for computed_first in (False, True):
+                tree = copy.copy(base)
+                tree.__dict__.pop("scope_masks", None)
+                if computed_first:
+                    assert tree.scope_masks == {x: scope(tree, x) for x in tree.bags}
+                aug = tree.augment(s)
+                twice = aug.augment(rng.choice(sets))
+                for t in (tree, aug, twice):
+                    assert t.scope_masks == {x: scope(t, x) for x in t.bags}
+                    assert _Runner(g, t).scope_mask is t.scope_masks
+
+
+def test_walk_reads_each_plan_once(monkeypatch):
+    # one run reads an inner node's parts at most twice (budget 1 and 2),
+    # and never a leaf's
+    g, td, u, v = _bench_query(256)
+    tree = build_balanced(g, td).augment({u, v})
+    want = _Runner(g, tree).run_fast(tree.root, 256, 1 << u)
+    calls = collections.Counter()
+    original = LeafSeq.parts
+    monkeypatch.setattr(LeafSeq, "parts",
+                        lambda self, t, d: calls.update([(t, min(d, 2))]) or original(self, t, d))
+    assert _Runner(g, tree).run_fast(tree.root, 256, 1 << u) == want
+    inner = {x for x in tree.bags if tree.children(x)}
+    assert set(calls) <= {(x, c) for x in inner for c in (1, 2)}
+    assert max(calls.values()) == 1 and sum(calls.values()) <= 2 * len(inner)

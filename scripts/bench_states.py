@@ -55,10 +55,6 @@ def prepare(tw, n: int):
     return g, base, base.augment({u, v}), u, v
 
 
-def augment_reach(eng, g, base, u: int, v: int) -> None:
-    eng.reach_balanced(g, base.augment({u, v}), u, v, report=True)
-
-
 def entries(tw, g, tree, u: int) -> dict:
     eng = tw["engine"]
     runner = eng._Runner(g, tree)
@@ -134,7 +130,7 @@ def main(argv: list[str]) -> int:
             for side in order:
                 g, base, tree, u, v = inputs[side]
                 start = time.perf_counter()
-                augment_reach(sides[side]["engine"], g, base, u, v)
+                sides[side]["engine"].reach_balanced(g, base.augment({u, v}), u, v, report=True)
                 aug_times[side].append(time.perf_counter() - start)
         for side, tw in sides.items():
             g, base, tree, u, v = inputs[side]

@@ -12,8 +12,7 @@ from .recursive import (RDContext, RDNode, build_balanced,
 from .sequences import (LeafSeq, dominating_subsequence, lseq_element,
                         lseq_length, useq_counts, useq_element, useq_length,
                         useq_stream)
-from .engine import (AncestorOrder, GadView, ReachReport, ancestor_vertices,
-                     gad_view, reach, reach_balanced)
+from .engine import ReachReport, reach, reach_balanced
 from .gen import BenchRecord, KTreeSpec, bench, bench_csv, bench_one, gen_ktree
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "hat_bag", "materialize_rd", "rd_children",
     "LeafSeq", "dominating_subsequence", "lseq_element", "lseq_length",
     "useq_counts", "useq_element", "useq_length", "useq_stream",
-    "AncestorOrder", "GadView", "ReachReport", "ancestor_vertices", "gad_view",
-    "reach", "reach_balanced",
+    "ReachReport", "reach", "reach_balanced",
     "BenchRecord", "KTreeSpec", "bench", "bench_csv", "bench_one", "gen_ktree",
 ]

@@ -92,18 +92,14 @@ class Rooting(NamedTuple):
 
 class _Shape(NamedTuple):
     """A rooted tree: its nodes in preorder, their parents (None at the root)
-    and their ordered child lists."""
+    and their child lists in ascending id."""
     order: list[int]
     parent: dict[int, int | None]
     children: dict[int, list[int]]
 
 
-def _walk(adj: dict[int, list[int]], root: int,
-          given: dict[int, list[int]] | None = None) -> _Shape:
-    """Preorder walk of the tree `adj` from `root`, children in ascending id
-    or, with `given`, in the order `given[x]` lists them; each given child must
-    be a tree neighbour not reached before (ValueError otherwise).
-    """
+def _walk(adj: dict[int, list[int]], root: int) -> _Shape:
+    """Preorder walk of the tree `adj` from `root`, children in ascending id."""
     parent: dict[int, int | None] = {root: None}
     children: dict[int, list[int]] = {}
     order: list[int] = []
@@ -111,13 +107,8 @@ def _walk(adj: dict[int, list[int]], root: int,
     while stack:
         x = stack.pop()
         order.append(x)
-        if given is None:
-            kids = [y for y in adj[x] if y != parent[x]]
-        else:
-            kids = list(given.get(x, ()))
+        kids = [y for y in adj[x] if y != parent[x]]
         for y in kids:
-            if given is not None and (y in parent or y not in adj[x]):
-                raise ValueError(f"child {y} of node {x} does not follow the tree edges")
             parent[y] = x
         children[x] = kids
         stack += reversed(kids)
@@ -229,24 +220,23 @@ class TreeDecomp:
 
 
 class BalancedTD(TreeDecomp):
-    """Rooted binary tree decomposition with an explicit child order.
+    """Rooted binary tree decomposition, children in ascending id order.
 
-    `ordered_children` fixes left/right children per node (ascending ids when
-    not given); the leaf index is the list of leaves in depth-first order under
-    that child order. The shape is walked once, on construction.
+    `ordered_children` lists each node's children by ascending id, as the
+    shape walk visits them; the leaf index is the list of leaves in that
+    depth-first order. Node ids alone fix the order, so the .td text that
+    `write_td` emits rebuilds the same tree. The shape is walked once, on
+    construction.
     """
 
-    def __init__(self, bags, edges, root, ordered_children: dict[int, list[int]] | None = None):
+    def __init__(self, bags, edges, root):
         super().__init__(bags, edges, root=root)
         if root is None:
             raise ValueError("balanced decomposition requires a root")
-        self._shape = shape = _walk(self._adj, root, ordered_children)
-        for x, kids in shape.children.items():
+        for x, kids in self._shape.children.items():
             if len(kids) > 2:
                 raise ValueError(f"node {x} has {len(kids)} children; binary tree required")
-        if len(shape.order) != len(self.bags):
-            raise ValueError("ordered children do not reach every node")
-        self.ordered_children = shape.children
+        self.ordered_children = self._shape.children
 
     # perfbench's tracer looks `augment` up in this class's own namespace
     augment = TreeDecomp.augment
@@ -371,8 +361,8 @@ def parse_td(text: str | bytes) -> TreeDecomp:
             bags[bid] = verts
         else:
             try:
-                a, b = int(parts[0]), int(parts[1])
-            except (ValueError, IndexError):
+                a, b = map(int, parts)  # exactly two integer tokens
+            except ValueError:
                 raise TdFormatError("malformed edge line", lineno) from None
             edges.append((a, b))
     if header is None:
@@ -386,8 +376,8 @@ def write_td(t: TreeDecomp, n_vertices: int | None = None) -> str:
     """Emit canonical .td text; node-ids renumbered 1..N for determinism.
 
     Rooted decompositions are renumbered in the preorder of their shape
-    (children in ascending old-id order, or the explicit order for BalancedTD)
-    so that re-parsing and ordering children by id reproduces the tree shape.
+    (children in ascending old-id order), so that re-parsing and ordering
+    children by id reproduces the tree shape.
     """
     if n_vertices is None:
         n_vertices = max((max(b) for b in t.bags.values() if b), default=0)
@@ -536,30 +526,36 @@ def _spine(bag: frozenset[int], subtrees: list[_Struct]) -> list[_Struct]:
 
 
 def materialize_struct(struct: _Struct) -> BalancedTD:
-    """Assign preorder ids 1..M and build the BalancedTD."""
+    """Assign preorder ids 1..M and build the BalancedTD; a first child gets
+    the smaller id, so the ascending-id child order is the struct's."""
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
-    children: dict[int, list[int]] = {}
-    stack = [struct]
+    stack: list[tuple[_Struct, int]] = [(struct, 0)]
     while stack:
-        node = stack.pop()
+        node, parent = stack.pop()
         nid = len(bags) + 1
         bags[nid] = node.bag
-        # the first child comes next in preorder, the second after the first's subtree
-        kids = node.children
-        children[nid] = ids = [nid + 1, nid + 1 + kids[0].weight][:len(kids)] if kids else []
-        edges += [(nid, y) for y in ids]
-        stack += reversed(kids)
-    return BalancedTD(bags, edges, root=1, ordered_children=children)
+        if parent:
+            edges.append((parent, nid))
+        stack += [(child, nid) for child in reversed(node.children)]
+    return BalancedTD(bags, edges, root=1)
 
 
-def binarize_balance(t_hat: TreeDecomp) -> BalancedTD:
-    """Binary, balanced equivalent of a rooted decomposition.
+def binarize_balance(*hats: TreeDecomp) -> BalancedTD:
+    """Binary, balanced equivalent of rooted decompositions of disjoint vertex sets.
 
-    Output width is at most 3*(w+1)-1 for input width w, and depth at most
-    2*ceil(log2 N)+1 for N input nodes. Bags of the input reappear as subsets
-    of output bags, so validity for the underlying graph is preserved.
+    Each input is binarized alone; the results are joined pairwise under empty
+    bags, level by level: (0, 1), (2, 3), ..., an odd last one carried up as
+    is. The joining bags are empty, so validity for the underlying graph (the
+    disjoint union) is preserved. For one input of width w and N nodes, the
+    output width is at most 3*(w+1)-1 and the depth at most 2*ceil(log2 N)+1.
     """
-    if t_hat.root is None:
+    if not hats:
+        raise ValueError("graph has no vertices")
+    if any(t.root is None for t in hats):
         raise ValueError("binarize_balance requires a rooted decomposition")
-    return materialize_struct(_build_struct(t_hat))
+    structs = [_build_struct(t) for t in hats]
+    while len(structs) > 1:
+        pairs = [structs[i:i + 2] for i in range(0, len(structs), 2)]
+        structs = [_Struct(frozenset(), pair) if len(pair) == 2 else pair[0] for pair in pairs]
+    return materialize_struct(structs[0])

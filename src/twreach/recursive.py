@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .decomp import BalancedTD, TreeDecomp, _Struct, _build_struct, materialize_struct
+from .decomp import BalancedTD, TreeDecomp, binarize_balance
 from .graph import (DiGraph, VertexSet, component_containing, grow, members,
                     undirected_components, vertex_mask, vset)
 from .separator import SeparatorResult, sep
@@ -148,25 +148,11 @@ def build_hat_decomposition(ctx: RDContext) -> TreeDecomp:
 
 
 def build_balanced(g: DiGraph, t: TreeDecomp) -> BalancedTD:
-    """Full pipeline: hat decomposition per component, binarized/balanced.
-
-    Components are joined under a balanced spine of empty bags; no edges cross
-    components so validity is preserved. Requires a valid decomposition t
+    """Full pipeline: the hat decomposition of each undirected component,
+    in `undirected_components` order, binarized and balanced and joined by
+    `binarize_balance`. Requires a valid decomposition t
     (`decomp.validate_td`); an invalid one may raise ValueError or
-    RuntimeError.
+    RuntimeError, and a graph with no vertices raises ValueError.
     """
-    structs = []
-    for comp in undirected_components(g):
-        ctx = RDContext(g, t, min(comp))
-        hat = build_hat_decomposition(ctx)
-        structs.append(_build_struct(hat))
-    if not structs:
-        raise ValueError("graph has no vertices")
-    while len(structs) > 1:
-        paired = []
-        for i in range(0, len(structs) - 1, 2):
-            paired.append(_Struct(frozenset(), [structs[i], structs[i + 1]]))
-        if len(structs) % 2:
-            paired.append(structs[-1])
-        structs = paired
-    return materialize_struct(structs[0])
+    return binarize_balance(*(build_hat_decomposition(RDContext(g, t, min(comp)))
+                              for comp in undirected_components(g)))

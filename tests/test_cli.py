@@ -326,6 +326,24 @@ def test_negative_vertex_count_is_exit_2(tmp_path, capsys):
     assert "vertex count must be non-negative, line 1" in capsys.readouterr().err
 
 
+def test_edge_line_with_extra_tokens_is_exit_2(tmp_path, capsys):
+    gr = tmp_path / "g.gr"
+    td = tmp_path / "t.td"
+    gr.write_text(PATH_GR)
+    td.write_text("c root 1\ns td 3 2 4\nb 1 1 2\nb 2 2 3\nb 3 3 4\n1 2\n2 3 99\n")
+    assert cli.main(["validate", "--graph", str(gr), "--td", str(td)]) == 2
+    assert "malformed edge line, line 7" in capsys.readouterr().err
+
+
+def test_balance_of_empty_graph_is_exit_2(tmp_path, capsys):
+    gr, td, out = tmp_path / "g.gr", tmp_path / "t.td", tmp_path / "b.td"
+    gr.write_text("p dgr 0 0\n")
+    td.write_text("s td 1 0 0\nb 1\n")  # valid: no vertex to cover
+    assert cli.main(["balance", "--graph", str(gr), "--td", str(td), "--out", str(out)]) == 2
+    assert "error: graph has no vertices" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # lines of format keywords and small (also negative) numbers, so that most
 # texts get past the header and into the bag, arc and edge rules
 _TOKEN = st.one_of(st.sampled_from(["p", "dgr", "s", "td", "b", "c", "root", "x", "1.5", "-0"]),

@@ -53,15 +53,8 @@ def test_non_tree_rejected():
     (lambda: BalancedTD({1: (), 2: ()}, [(1, 2)], root=None), ValueError, "requires a root"),
     (lambda: BalancedTD({i: () for i in range(1, 5)}, [(1, 2), (1, 3), (1, 4)], root=1),
      ValueError, "node 1 has 3 children; binary tree required"),
-    (lambda: BalancedTD({1: (), 2: (), 3: ()}, [(1, 2), (2, 3)], root=1,
-                        ordered_children={1: [3], 2: []}),
-     ValueError, "child 3 of node 1 does not follow the tree edges"),
-    (lambda: BalancedTD({1: (), 2: (), 3: ()}, [(1, 2), (1, 3)], root=1,
-                        ordered_children={1: [2]}),
-     ValueError, "ordered children do not reach every node"),
 ], ids=["self-loop", "edge-both-ways", "unknown-node", "cycle", "cycle-and-isolated",
-        "no-nodes", "root-not-a-node", "balanced-no-root", "balanced-ternary",
-        "balanced-child-off-edges", "balanced-children-miss-a-node"])
+        "no-nodes", "root-not-a-node", "balanced-no-root", "balanced-ternary"])
 def test_constructor_errors(build, error, message):
     with pytest.raises(ValueError, match=message) as exc:
         build()
@@ -239,14 +232,14 @@ def _ref_depth(t):
     return depth
 
 
-def _ref_balanced_shape(t, given):
+def _ref_balanced_shape(t):
     """(parent, children, depth_of, height, preorder, leaves) of a BalancedTD."""
     parent, kids_of, depth_of, order = {t.root: None}, {}, {t.root: 0}, []
     stack = [t.root]
     while stack:
         x = stack.pop()
         order.append(x)
-        kids = [y for y in t.neighbors(x) if y != parent[x]] if given is None else list(given.get(x, ()))
+        kids = [y for y in t.neighbors(x) if y != parent[x]]
         for y in kids:
             parent[y] = x
             depth_of[y] = depth_of[x] + 1
@@ -323,19 +316,15 @@ def test_balanced_shape_matches_reference_walk():
     for trial in range(300):
         ids, bags, edges = _random_tree(rng, rng.randint(1, 30), arity=2)
         root = ids[0]
-        t = TreeDecomp(bags, edges, root=root)
-        # ascending children, then the same children shuffled
-        given = {x: rng.sample(kids, len(kids)) for x, kids in t.children_map().items()}
-        for order in (None, given):
-            b = BalancedTD(bags, edges, root, ordered_children=order)
-            parent, kids, depth_of, height, preorder, leaves = _ref_balanced_shape(b, order)
-            assert b.parent_map() == parent and b.ordered_children == kids
-            assert b.preorder == preorder and b.leaves == leaves
-            assert all(b.children(x) == kids[x] and b.parent(x) == parent[x]
-                       and b.depth_of(x) == depth_of[x] and b.height(x) == height[x]
-                       for x in bags)
-            assert b.depth() == height[root] == max(depth_of.values())
-            assert write_td(b) == _ref_write_td(b, kids)
+        b = BalancedTD(bags, edges, root)
+        parent, kids, depth_of, height, preorder, leaves = _ref_balanced_shape(b)
+        assert b.parent_map() == parent and b.ordered_children == kids
+        assert b.preorder == preorder and b.leaves == leaves
+        assert all(b.children(x) == kids[x] and b.parent(x) == parent[x]
+                   and b.depth_of(x) == depth_of[x] and b.height(x) == height[x]
+                   for x in bags)
+        assert b.depth() == height[root] == max(depth_of.values())
+        assert write_td(b) == _ref_write_td(b, kids)
 
 
 def test_parse_td_basic():
@@ -356,6 +345,8 @@ def test_parse_td_errors():
         parse_td("s td 1 1 2\nb 1 7\n")
     with pytest.raises(TdFormatError, match="expected 2 bags"):
         parse_td("s td 2 1 1\nb 1 1\n")
+    with pytest.raises(TdFormatError, match="malformed edge line, line 4"):
+        parse_td("s td 2 1 2\nb 1 1\nb 2 2\n1 2 99\n")
 
 
 def test_parse_td_non_integer_root():
@@ -409,14 +400,16 @@ def test_balanced_td_rejects_ternary():
         BalancedTD({i: () for i in range(1, 5)}, [(1, 2), (1, 3), (1, 4)], root=1)
 
 
-def test_balanced_rejects_children_off_the_edges():
-    bags = {1: (), 2: (), 3: ()}
-    with pytest.raises(ValueError, match="tree edges"):
-        BalancedTD(bags, [(1, 2), (2, 3)], root=1, ordered_children={1: [2, 3], 2: [3]})
-    with pytest.raises(ValueError, match="tree edges"):
-        BalancedTD(bags, [(1, 2), (1, 3)], root=1, ordered_children={1: [2, 2]})
-    with pytest.raises(ValueError, match="reach every node"):
-        BalancedTD(bags, [(1, 2), (1, 3)], root=1, ordered_children={1: [2]})
+def test_balanced_tree_survives_td_round_trip():
+    # write_td renumbers in preorder and the text carries no child order:
+    # ascending ids alone must rebuild the shape and the leaf order
+    for n in (64, 256, 1024):
+        g, td = gen_ktree(KTreeSpec(n=n, k=3, seed=7))
+        b = build_balanced(g, td)
+        t = parse_td(write_td(b))
+        again = BalancedTD(t.bags, [tuple(e) for e in t.edges], t.root)
+        assert again.preorder == b.preorder and again.leaves == b.leaves
+        assert again.ordered_children == b.ordered_children
 
 
 def test_balanced_augment_shares_shape():
@@ -431,21 +424,12 @@ def test_balanced_augment_shares_shape():
     fresh = TreeDecomp({i: set(b) | s for i, b in tree.bags.items()}, edges, root=tree.root)
     assert aug.bags == fresh.bags
     assert aug.rooting == fresh.rooting != rooting_before
-    rebuilt = BalancedTD(fresh.bags, edges, tree.root, ordered_children=tree.ordered_children)
+    rebuilt = BalancedTD(fresh.bags, edges, tree.root)
     assert aug.preorder == rebuilt.preorder and aug.leaves == rebuilt.leaves
     assert aug.parent_map() == rebuilt.parent_map()
     for x in tree.bags:
         assert aug.children(x) == rebuilt.children(x)
         assert (aug.height(x), aug.depth_of(x)) == (rebuilt.height(x), rebuilt.depth_of(x))
-
-
-def test_balanced_explicit_child_order():
-    t = BalancedTD({1: (), 2: (), 3: ()}, [(1, 2), (1, 3)], root=1,
-                   ordered_children={1: [3, 2]})
-    assert t.children(1) == [3, 2]
-    assert t.leaves == [3, 2]
-    t2 = t.augment({5})
-    assert t2.children(1) == [3, 2]
 
 
 def test_binarize_requires_root():

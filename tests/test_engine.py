@@ -106,7 +106,7 @@ def _random_walk_instance(rng):
         edges.append((parent, x))
     bags = {x: rng.sample(range(1, n + 1), rng.randint(0, min(3, n))) for x in kids}
     arcs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 2 * n))]
-    return DiGraph(n, arcs), BalancedTD(bags, edges, root=1, ordered_children=kids)
+    return DiGraph(n, arcs), BalancedTD(bags, edges, root=1)
 
 
 def test_fast_walk_length_and_scopes_match_reference():

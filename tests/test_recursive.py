@@ -5,7 +5,7 @@ import random
 import pytest
 
 from twreach import recursive, separator
-from twreach.decomp import TreeDecomp, validate_td, write_td
+from twreach.decomp import TreeDecomp, binarize_balance, validate_td, write_td
 from twreach.gen import KTreeSpec, gen_ktree
 from twreach.graph import DiGraph, component_containing, undirected_components, vset
 from twreach.recursive import (RDContext, RDNode, build_balanced,
@@ -150,6 +150,36 @@ def test_balanced_trees_pinned():
         g, td = gen_ktree(KTreeSpec(n=n, k=3, seed=7))
         text = write_td(build_balanced(g, td))
         assert hashlib.sha1(text.encode()).hexdigest()[:12] == prefix, n
+
+
+def test_build_balanced_joins_component_hats():
+    # sparse arcs (p = 0.2) leave the k-trees in many undirected components
+    counts = set()
+    for k in (1, 2, 3, 4):
+        for n in (k + 1, 9, 17, 33, 64):
+            for seed in range(3):
+                g, td = gen_ktree(KTreeSpec(n=n, k=k, seed=seed, arc_probability=0.2))
+                hats = [build_hat_decomposition(RDContext(g, td, min(comp)))
+                        for comp in undirected_components(g)]
+                counts.add(len(hats))
+                assert write_td(build_balanced(g, td)) == write_td(binarize_balance(*hats))
+    # one component, even and odd counts of them
+    assert 1 in counts and any(c % 2 == 0 for c in counts)
+    assert any(c % 2 and c > 1 for c in counts)
+
+
+def test_disconnected_balanced_tree_pinned():
+    g, td = gen_ktree(KTreeSpec(n=64, k=2, seed=2, arc_probability=0.2))
+    assert len(undirected_components(g)) == 23
+    text = write_td(build_balanced(g, td))
+    assert hashlib.sha1(text.encode()).hexdigest()[:12] == "c9e55f6244cc"
+
+
+def test_empty_graph_raises():
+    with pytest.raises(ValueError, match="^graph has no vertices$"):
+        build_balanced(DiGraph(0, []), TreeDecomp({1: ()}, []))
+    with pytest.raises(ValueError, match="^graph has no vertices$"):
+        binarize_balance()
 
 
 def test_each_component_searched_once(monkeypatch):

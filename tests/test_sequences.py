@@ -202,7 +202,7 @@ def _random_binary_tree(rng, size):
         kids[parent].append(x)
         kids[x] = []
         edges.append((parent, x))
-    return BalancedTD({i: () for i in kids}, edges, root=1, ordered_children=kids)
+    return BalancedTD({i: () for i in kids}, edges, root=1)
 
 
 def test_lseq_matches_literal_definition():

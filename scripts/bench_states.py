@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Compare the marking walk of two twreach checkouts on the k-tree grid.
+"""Compare the marking walk, parse and balancing of two twreach checkouts
+on the k-tree grid.
 
     python3 scripts/bench_states.py PARENT=PARENT_SRC CHANGE=CHANGE_SRC > BENCH_name.json
 
@@ -8,16 +9,22 @@ its `twreach` package. Both are imported side by side in one process (as
 `twreach_parent` and `twreach_change`). For each n of the grid (k=3, seed 7,
 the query pair drawn as `gen.bench_one` draws it) each side balances and
 augments once; then each round times, per side, one `reach_balanced` call on
-the augmented tree and one `augment({u, v})` of the balanced tree followed by
-`reach_balanced` (what a query on an already balanced graph costs). There are
-15 rounds (7 from n = 1024 on), alternating parent and change call by call,
-parent first on even rounds. One more call per side runs under tracemalloc
-for the heap peak, and one `_Runner.run_fast` on a fresh runner gives the
-memo, step-cache and state entries. It exits 1 when the two sides' answers, accounting, memo,
-step or state entries differ.
+the augmented tree, one `augment({u, v})` of the balanced tree followed by
+`reach_balanced` (what a query on an already balanced graph costs), one
+`parse_td` of the instance's `.td` text (the set-up of perfbench's ktree-cold
+and small-mixed) and one `build_balanced`. Each call follows a full garbage
+collection, so that no call pays for a collection set off by the other
+side's garbage. There are 15 rounds (7 from n = 1024 on), alternating parent
+and change call by call, parent first on even rounds. One more call per side
+runs under tracemalloc for the heap peak, and one `_Runner.run_fast` on a
+fresh runner gives the memo, step-cache and state entries. It exits 1 when
+the two sides' answers, accounting, balanced trees, memo, step or state
+entries differ.
 """
 from __future__ import annotations
 
+import gc
+import hashlib
 import importlib.util
 import json
 import os
@@ -42,7 +49,7 @@ def load(name: str, src: str):
     sys.modules[name] = mod
     spec.loader.exec_module(mod)
     return {sub: importlib.import_module(f"{name}.{sub}")
-            for sub in ("engine", "gen", "recursive")}
+            for sub in ("decomp", "engine", "gen", "recursive")}
 
 
 def prepare(tw, n: int):
@@ -52,7 +59,17 @@ def prepare(tw, n: int):
     u = rng.randrange(1, n + 1)
     v = rng.randrange(1, n + 1)
     base = tw["recursive"].build_balanced(g, td)
-    return g, base, base.augment({u, v}), u, v
+    text = tw["decomp"].write_td(td, n_vertices=n)
+    return g, td, text, base, base.augment({u, v}), u, v
+
+
+def timed_calls(tw, g, td, text, base, tree, u: int, v: int) -> dict:
+    """The timed calls of one round, by field prefix."""
+    reach = tw["engine"].reach_balanced
+    return {"reach_balanced_": lambda: reach(g, tree, u, v, report=True),
+            "augment_reach_": lambda: reach(g, base.augment({u, v}), u, v, report=True),
+            "parse_": lambda: tw["decomp"].parse_td(text),
+            "balance_": lambda: tw["recursive"].build_balanced(g, td)}
 
 
 def entries(tw, g, tree, u: int) -> dict:
@@ -80,6 +97,10 @@ FIELDS = {
     "augment_reach_s": "median seconds of build_balanced(g, td).augment({u, v}) followed by "
                        "that reach_balanced call, the balanced tree built once beforehand",
     "augment_reach_q1_s": "first quartile", "augment_reach_q3_s": "third quartile",
+    "parse_s": "median seconds of one decomp.parse_td of write_td(td, n_vertices=n)",
+    "parse_q1_s": "first quartile", "parse_q3_s": "third quartile",
+    "balance_s": "median seconds of one recursive.build_balanced(g, td)",
+    "balance_q1_s": "first quartile", "balance_q3_s": "third quartile",
     "runs": "timed calls per side and kind, parent and change alternating call by call",
     "heap_peak_mib": "tracemalloc peak over one more reach_balanced call",
     "memo_entries": "len(_Runner.memo) after one run_fast on a fresh runner",
@@ -92,6 +113,11 @@ FIELDS = {
     "pair_wins": "paired calls in which the change was faster",
     "augment_reach_time_ratio_median": "time_ratio_median of the augment_reach_s calls",
     "augment_reach_pair_wins": "pair_wins of the augment_reach_s calls",
+    "parse_time_ratio_median": "time_ratio_median of the parse_s calls",
+    "parse_pair_wins": "pair_wins of the parse_s calls",
+    "balance_time_ratio_median": "time_ratio_median of the balance_s calls",
+    "balance_pair_wins": "pair_wins of the balance_s calls",
+    "balanced_sha1": "first 12 hex digits of the SHA-1 of write_td(build_balanced(g, td))",
 }
 
 
@@ -118,41 +144,41 @@ def main(argv: list[str]) -> int:
     for n in GRID:
         runs = 15 if n <= 256 else 7
         inputs = {side: prepare(tw, n) for side, tw in sides.items()}
-        times: dict[str, list[float]] = {side: [] for side in sides}
-        aug_times: dict[str, list[float]] = {side: [] for side in sides}
+        calls = {side: timed_calls(tw, *inputs[side]) for side, tw in sides.items()}
+        times = {side: {kind: [] for kind in calls[side]} for side in sides}
         for r in range(runs):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
-            for side in order:
-                g, base, tree, u, v = inputs[side]
-                start = time.perf_counter()
-                sides[side]["engine"].reach_balanced(g, tree, u, v, report=True)
-                times[side].append(time.perf_counter() - start)
-            for side in order:
-                g, base, tree, u, v = inputs[side]
-                start = time.perf_counter()
-                sides[side]["engine"].reach_balanced(g, base.augment({u, v}), u, v, report=True)
-                aug_times[side].append(time.perf_counter() - start)
+            for kind in calls["parent"]:
+                for side in order:
+                    gc.collect()
+                    start = time.perf_counter()
+                    calls[side][kind]()
+                    times[side][kind].append(time.perf_counter() - start)
         for side, tw in sides.items():
-            g, base, tree, u, v = inputs[side]
+            g, td, text, base, tree, u, v = inputs[side]
             rep = tw["engine"].reach_balanced(g, tree, u, v, report=True)
-            row = {"n": n, **quartiles(times[side], "reach_balanced_"),
-                   **quartiles(aug_times[side], "augment_reach_"), "runs": runs,
-                   "heap_peak_mib": round(heap_peak_mib(tw["engine"], g, tree, u, v), 3),
-                   **entries(tw, g, tree, u),
-                   "reachable": rep.reachable, "iterations": rep.iterations,
-                   "relax_work": rep.relax_work, "peak_bits": rep.peak_bits}
+            row = {"n": n, "runs": runs}
+            for kind, kind_times in times[side].items():
+                row.update(quartiles(kind_times, kind))
+            sha1 = hashlib.sha1(tw["decomp"].write_td(base).encode()).hexdigest()[:12]
+            row.update({"heap_peak_mib": round(heap_peak_mib(tw["engine"], g, tree, u, v), 3),
+                        **entries(tw, g, tree, u), "balanced_sha1": sha1,
+                        "reachable": rep.reachable, "iterations": rep.iterations,
+                        "relax_work": rep.relax_work, "peak_bits": rep.peak_bits})
             if side == "change":
-                row.update(paired(times["parent"], times["change"], ""))
-                row.update(paired(aug_times["parent"], aug_times["change"], "augment_reach_"))
+                for kind in times[side]:  # the walk's ratio keys carry no prefix
+                    row.update(paired(times["parent"][kind], times["change"][kind],
+                                      "" if kind == "reach_balanced_" else kind))
             rows[side].append(row)
         print(f"n={n} done", file=sys.stderr, flush=True)
     for p, c in zip(rows["parent"], rows["change"]):
-        for key in ("reachable", "iterations", "relax_work", "peak_bits",
+        for key in ("reachable", "iterations", "relax_work", "peak_bits", "balanced_sha1",
                     "memo_entries", "step_entries", "state_entries"):
             if p[key] != c[key]:
                 print(f"n={p['n']}: {key} differs: {p[key]} != {c[key]}", file=sys.stderr)
                 return 1
-    doc = {"what": "engine.reach_balanced on build_balanced(g, td).augment({u, v}) for "
+    doc = {"what": "engine.reach_balanced on build_balanced(g, td).augment({u, v}), "
+                   "parse_td of the .td text and build_balanced, for "
                    "gen.gen_ktree(KTreeSpec(n, k=3, seed=7)), (u, v) drawn as gen.bench_one "
                    "draws them",
            "grid": {"k": K, "seed": SEED, "n": list(GRID)}, "fields": FIELDS,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-from .graph import DiGraph, VertexSet, text_lines, vertex_mask, vset
+from .graph import DiGraph, VertexSet, text_lines, vertex_mask
 
 
 class TdFormatError(ValueError):
@@ -33,38 +33,47 @@ class ValidityReport:
         return self.covers_vertices and self.covers_edges and self.connected_occurrences
 
 
-def _check_tree(ids: Iterable[int], edges: set[frozenset[int]]) -> dict[int, list[int]]:
-    """Ascending adjacency lists of the tree that `edges` make on `ids`;
-    TdFormatError unless the edges form a spanning tree."""
+def _check_tree(ids: Iterable[int], edges: set[frozenset[int]], root: int | None
+                ) -> tuple[dict[int, list[int]], list[int], dict[int, int | None]]:
+    """Adjacency lists (descending id, so the walk's stack pops siblings in
+    ascending id), preorder and parent map of the tree that `edges` make on
+    `ids`, walked from `root` (the smallest id when None); TdFormatError
+    unless the edges form a spanning tree."""
     adj: dict[int, list[int]] = {i: [] for i in ids}
-    for e in edges:
-        if len(e) != 2:
-            raise TdFormatError("decomposition edge must join two distinct nodes")
-        a, b = e
-        try:
+    try:
+        for a, b in edges:
             adj[a].append(b)
             adj[b].append(a)
-        except KeyError as exc:
-            raise TdFormatError(f"decomposition edge references unknown node {exc.args[0]}") from None
+    except ValueError:  # a one-node edge does not unpack into two
+        raise TdFormatError("decomposition edge must join two distinct nodes") from None
+    except KeyError as exc:
+        raise TdFormatError(f"decomposition edge references unknown node {exc.args[0]}") from None
     if len(edges) != max(len(adj) - 1, 0):
         if len(edges) > len(adj) - 1:
             raise TdFormatError("decomposition edges contain a cycle")
         raise TdFormatError("decomposition edges do not connect all nodes")
     if not adj:
         raise TdFormatError("decomposition has no nodes")
-    # with exactly N-1 edges, connected implies acyclic
-    start = next(iter(adj))
-    seen, stack = {start}, [start]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(adj):
-        raise TdFormatError("decomposition edges do not connect all nodes")
-    for lst in adj.values():
+    if root is None:
+        root = min(adj)
+    elif root not in adj:
+        raise TdFormatError(f"root {root} is not a node of the decomposition")
+    for lst in adj.values():  # cheaper than sort(reverse=True) on short lists
         lst.sort()
-    return adj
+        lst.reverse()
+    # with exactly N-1 edges, connected implies acyclic
+    parent: dict[int, int | None] = {root: None}
+    order, stack = [], [root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    if len(order) != len(adj):
+        raise TdFormatError("decomposition edges do not connect all nodes")
+    return adj, order, parent
 
 
 class Rooting(NamedTuple):
@@ -91,28 +100,9 @@ class Rooting(NamedTuple):
 
 
 class _Shape(NamedTuple):
-    """A rooted tree: its nodes in preorder, their parents (None at the root)
-    and their child lists in ascending id."""
-    order: list[int]
-    parent: dict[int, int | None]
+    """Each node's children in ascending id and its depth (edges from the root)."""
     children: dict[int, list[int]]
-
-
-def _walk(adj: dict[int, list[int]], root: int) -> _Shape:
-    """Preorder walk of the tree `adj` from `root`, children in ascending id."""
-    parent: dict[int, int | None] = {root: None}
-    children: dict[int, list[int]] = {}
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        kids = [y for y in adj[x] if y != parent[x]]
-        for y in kids:
-            parent[y] = x
-        children[x] = kids
-        stack += reversed(kids)
-    return _Shape(order, parent, children)
+    depth: dict[int, int]
 
 
 class TreeDecomp:
@@ -120,17 +110,17 @@ class TreeDecomp:
 
     `bags` maps node-id to a canonical VertexSet; `edges` is the tree edge set;
     `root` is optional and only required by depth-sensitive operations. The
-    shape (`_walk` from the root, else from the smallest id) is computed on
-    first use and shared by `augment`, which carries the scope masks too.
+    tree check walks it from the root (else from the smallest id) and keeps
+    the preorder and the parent map; `_shape` is computed from them on first
+    use and shared by `augment`, which carries the scope masks too.
     """
 
     def __init__(self, bags: dict[int, Iterable[int]], edges: Iterable[tuple[int, int]],
                  root: int | None = None):
-        self.bags: dict[int, VertexSet] = {int(i): vset(b) for i, b in bags.items()}
+        # vset written out, one call fewer per bag
+        self.bags: dict[int, VertexSet] = {int(i): tuple(sorted(set(b))) for i, b in bags.items()}
         self.edges: set[frozenset[int]] = {frozenset((int(a), int(b))) for a, b in edges}
-        self._adj = _check_tree(self.bags, self.edges)
-        if root is not None and root not in self.bags:
-            raise TdFormatError(f"root {root} is not a node of the decomposition")
+        self._adj, self._order, self._parent = _check_tree(self.bags, self.edges, root)
         self.root = root
 
     def node_ids(self) -> list[int]:
@@ -140,33 +130,33 @@ class TreeDecomp:
         return self.bags[node]
 
     def neighbors(self, node: int) -> list[int]:
-        return self._adj[node]
+        """Adjacent node ids, ascending."""
+        return self._adj[node][::-1]
 
     def width(self) -> int:
         return max(len(b) for b in self.bags.values()) - 1
 
     @cached_property
     def _shape(self) -> _Shape:
-        return _walk(self._adj, min(self.bags) if self.root is None else self.root)
+        """One pass over the preorder, which lists siblings in ascending id."""
+        order, parent = self._order, self._parent
+        children: dict[int, list[int]] = {x: [] for x in order}
+        depth = {order[0]: 0}
+        for x in order[1:]:
+            p = parent[x]
+            children[p].append(x)
+            depth[x] = depth[p] + 1
+        return _Shape(children, depth)
 
-    def _rooted_shape(self) -> _Shape:
+    def _require_root(self) -> None:
         if self.root is None:
             raise ValueError("operation requires a rooted decomposition")
-        return self._shape
-
-    @cached_property
-    def _depth_of(self) -> dict[int, int]:
-        order, parent, _ = self._shape
-        depth_of = {order[0]: 0}
-        for x in order[1:]:
-            depth_of[x] = depth_of[parent[x]] + 1
-        return depth_of
 
     @cached_property
     def rooting(self) -> Rooting:
         """Preorder intervals, first bags and range minima over the shape,
         computed once per bag set."""
-        order, _, children = self._shape
+        order, children = self._order, self._shape.children
         pre = {x: i for i, x in enumerate(order)}
         end: dict[int, int] = {}
         for x in reversed(order):
@@ -183,21 +173,23 @@ class TreeDecomp:
         return Rooting(order, pre, end, children, top, sparse)
 
     def parent_map(self) -> dict[int, int | None]:
-        return dict(self._rooted_shape().parent)
+        self._require_root()
+        return dict(self._parent)
 
     def children_map(self) -> dict[int, list[int]]:
-        return {x: kids[:] for x, kids in self._rooted_shape().children.items()}
+        self._require_root()
+        return {x: kids[:] for x, kids in self._shape.children.items()}
 
     def depth(self) -> int:
         """Longest root-to-leaf edge count. Requires a root."""
-        self._rooted_shape()
-        return max(self._depth_of.values())
+        self._require_root()
+        return max(self._shape.depth.values())
 
     @cached_property
     def scope_masks(self) -> dict[int, int]:
-        """Vertex mask of the bags on each node's path from the shape's root;
-        one preorder pass fills every parent before its children."""
-        order, parent, _ = self._shape
+        """Vertex mask of the bags on each node's path from the root; one
+        preorder pass fills every parent before its children."""
+        order, parent = self._order, self._parent
         scope: dict[int, int] = {}
         for x in order:  # the root's parent, None, has no scope
             scope[x] = vertex_mask(self.bags[x]) | scope.get(parent[x], 0)
@@ -223,9 +215,9 @@ class BalancedTD(TreeDecomp):
     """Rooted binary tree decomposition, children in ascending id order.
 
     `ordered_children` lists each node's children by ascending id, as the
-    shape walk visits them; the leaf index is the list of leaves in that
+    preorder visits them; the leaf index is the list of leaves in that
     depth-first order. Node ids alone fix the order, so the .td text that
-    `write_td` emits rebuilds the same tree. The shape is walked once, on
+    `write_td` emits rebuilds the same tree. The shape is made once, on
     construction.
     """
 
@@ -242,7 +234,7 @@ class BalancedTD(TreeDecomp):
     augment = TreeDecomp.augment
 
     def parent(self, node: int) -> int | None:
-        return self._shape.parent[node]
+        return self._parent[node]
 
     def children(self, node: int) -> list[int]:
         return self.ordered_children[node]
@@ -261,11 +253,11 @@ class BalancedTD(TreeDecomp):
         return self._height[node]
 
     def depth_of(self, node: int) -> int:
-        return self._depth_of[node]
+        return self._shape.depth[node]
 
     @property
     def preorder(self) -> list[int]:
-        return self._shape.order
+        return self._order
 
     @cached_property
     def leaves(self) -> list[int]:
@@ -317,7 +309,8 @@ def validate_td(g: DiGraph, t: TreeDecomp, vertices: Iterable[int] | None = None
 
 
 def parse_td(text: str | bytes) -> TreeDecomp:
-    """Parse PACE 2017 style .td text. A "c root <id>" comment sets the root."""
+    """Parse PACE 2017 style .td text. A "c root <id>" comment sets the root;
+    the header's max bag size must be the largest bag's, duplicates dropped."""
     header = None
     bags: dict[int, list[int]] = {}
     edges: list[tuple[int, int]] = []
@@ -328,7 +321,9 @@ def parse_td(text: str | bytes) -> TreeDecomp:
             continue
         if line.startswith("c"):
             parts = line.split()
-            if len(parts) == 3 and parts[1] == "root":
+            if len(parts) > 1 and parts[1] == "root":
+                if len(parts) != 3:
+                    raise TdFormatError("malformed root line, expected 'c root <id>'", lineno)
                 try:
                     root = int(parts[2])
                 except ValueError:
@@ -344,6 +339,7 @@ def parse_td(text: str | bytes) -> TreeDecomp:
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
             except ValueError:
                 raise TdFormatError("non-integer token in header", lineno) from None
+            header_line = lineno
             continue
         if header is None:
             raise TdFormatError("content line before header", lineno)
@@ -369,7 +365,12 @@ def parse_td(text: str | bytes) -> TreeDecomp:
         raise TdFormatError("missing header")
     if len(bags) != header[0]:
         raise TdFormatError(f"expected {header[0]} bags, found {len(bags)}")
-    return TreeDecomp(bags, edges, root=root)
+    t = TreeDecomp(bags, edges, root=root)
+    maxbag = max(map(len, t.bags.values()))
+    if maxbag != header[1]:
+        raise TdFormatError(f"header max bag size {header[1]} is not the largest bag's {maxbag}",
+                            header_line)
+    return t
 
 
 def write_td(t: TreeDecomp, n_vertices: int | None = None) -> str:
@@ -381,7 +382,7 @@ def write_td(t: TreeDecomp, n_vertices: int | None = None) -> str:
     """
     if n_vertices is None:
         n_vertices = max((max(b) for b in t.bags.values() if b), default=0)
-    order = sorted(t.bags) if t.root is None else t._shape.order
+    order = sorted(t.bags) if t.root is None else t._order
     renum = {old: i + 1 for i, old in enumerate(order)}
     maxbag = max(len(b) for b in t.bags.values())
     lines = []

@@ -53,14 +53,11 @@ class RDContext:
     def root(self) -> RDNode:
         return RDNode((), self.v0)
 
-    def sep_of(self, u) -> SeparatorResult:
-        """sep of the vertex set u, any iterable; a cached VertexSet is not re-sorted."""
-        hit = self._sep_cache.get(u) if type(u) is tuple else None
+    def sep_of(self, u: VertexSet) -> SeparatorResult:
+        """sep of the canonical vertex set u, cached by it."""
+        hit = self._sep_cache.get(u)
         if hit is None:
-            key = vset(u)
-            hit = self._sep_cache.get(key)
-            if hit is None:
-                hit = self._sep_cache[key] = sep(self.g, self.t, key)
+            hit = self._sep_cache[u] = sep(self.g, self.t, u)
         return hit
 
     def component_of(self, node: RDNode) -> VertexSet:

@@ -335,6 +335,21 @@ def test_edge_line_with_extra_tokens_is_exit_2(tmp_path, capsys):
     assert "malformed edge line, line 7" in capsys.readouterr().err
 
 
+def test_lseq_malformed_root_line_is_exit_2(tmp_path, capsys):
+    td = tmp_path / "t.td"
+    td.write_text("c root 1 2\ns td 1 2 2\nb 1 1 2\n")
+    assert cli.main(["lseq", "--td", str(td), "--d", "2", "--r", "1"]) == 2
+    assert "expected 'c root <id>', line 1" in capsys.readouterr().err
+
+
+def test_header_max_bag_mismatch_is_exit_2(tmp_path, capsys):
+    gr, td = tmp_path / "g.gr", tmp_path / "t.td"
+    gr.write_text(PATH_GR)
+    td.write_text(PATH_TD.replace("s td 3 2 4", "s td 3 3 4"))
+    assert cli.main(["validate", "--graph", str(gr), "--td", str(td)]) == 2
+    assert "max bag size 3 is not the largest bag's 2, line 2" in capsys.readouterr().err
+
+
 def test_balance_of_empty_graph_is_exit_2(tmp_path, capsys):
     gr, td, out = tmp_path / "g.gr", tmp_path / "t.td", tmp_path / "b.td"
     gr.write_text("p dgr 0 0\n")

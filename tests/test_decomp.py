@@ -47,6 +47,10 @@ def test_non_tree_rejected():
     # N - 1 edges, but a cycle beside an isolated node
     (lambda: TreeDecomp({i: () for i in range(1, 5)}, [(1, 2), (2, 3), (3, 1)]),
      TdFormatError, "connect"),
+    (lambda: TreeDecomp({i: () for i in range(1, 5)}, [(1, 2), (2, 3), (3, 1)], root=4),
+     TdFormatError, "connect"),
+    (lambda: TreeDecomp({i: () for i in range(1, 5)}, [(1, 2), (2, 3), (3, 1)], root=2),
+     TdFormatError, "connect"),
     (lambda: TreeDecomp({}, []), TdFormatError, "no nodes"),
     (lambda: TreeDecomp({1: (), 2: ()}, [(1, 2)], root=3), TdFormatError,
      "root 3 is not a node"),
@@ -54,7 +58,8 @@ def test_non_tree_rejected():
     (lambda: BalancedTD({i: () for i in range(1, 5)}, [(1, 2), (1, 3), (1, 4)], root=1),
      ValueError, "node 1 has 3 children; binary tree required"),
 ], ids=["self-loop", "edge-both-ways", "unknown-node", "cycle", "cycle-and-isolated",
-        "no-nodes", "root-not-a-node", "balanced-no-root", "balanced-ternary"])
+        "cycle-and-isolated-rooted-isolated", "cycle-and-isolated-rooted-in-cycle", "no-nodes",
+        "root-not-a-node", "balanced-no-root", "balanced-ternary"])
 def test_constructor_errors(build, error, message):
     with pytest.raises(ValueError, match=message) as exc:
         build()
@@ -290,8 +295,13 @@ def test_tree_shape_matches_reference_walks():
     rng = random.Random(12)
     for trial in range(300):
         ids, bags, edges = _random_tree(rng, rng.randint(1, 30))
+        adj = {x: [] for x in ids}
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
         for root in (None, min(ids), rng.choice(ids)):
             t = TreeDecomp(bags, edges, root=root)
+            assert all(t.neighbors(x) == sorted(adj[x]) for x in ids)
             if root is None:
                 for method in (t.parent_map, t.children_map, t.depth):
                     with pytest.raises(ValueError, match="rooted"):
@@ -325,6 +335,8 @@ def test_balanced_shape_matches_reference_walk():
                    for x in bags)
         assert b.depth() == height[root] == max(depth_of.values())
         assert write_td(b) == _ref_write_td(b, kids)
+        aug = b.augment({9})
+        assert aug.depth() == b.depth() and all(aug.depth_of(x) == depth_of[x] for x in bags)
 
 
 def test_parse_td_basic():
@@ -347,6 +359,31 @@ def test_parse_td_errors():
         parse_td("s td 2 1 1\nb 1 1\n")
     with pytest.raises(TdFormatError, match="malformed edge line, line 4"):
         parse_td("s td 2 1 2\nb 1 1\nb 2 2\n1 2 99\n")
+    with pytest.raises(TdFormatError, match="no nodes"):
+        parse_td("s td 0 0 0\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("c root\ns td 1 1 1\nb 1 1\n", 1),
+    ("s td 1 1 1\nc root 2 extra\nb 1 1\n", 2),
+], ids=["no-id", "extra-token"])
+def test_parse_td_malformed_root_line(text, line):
+    with pytest.raises(TdFormatError, match=f"expected 'c root <id>', line {line}") as exc:
+        parse_td(text)
+    assert exc.value.line == line
+    assert parse_td("c rooted at 1\ns td 1 1 1\nb 1 1\n").root is None
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("s td 2 1 3\nb 1 1 2\nb 2 2 3\n1 2\n", 1, "max bag size 1 is not the largest bag's 2"),
+    ("c root 1\ns td 1 2 2\nb 1 1 1\n", 2, "max bag size 2 is not the largest bag's 1"),
+], ids=["too-small", "duplicate-counted"])
+def test_parse_td_header_max_bag(text, line, message):
+    with pytest.raises(TdFormatError, match=f"{message}, line {line}") as exc:
+        parse_td(text)
+    assert exc.value.line == line
+    # a repeated vertex counts once
+    assert parse_td("s td 1 1 2\nb 1 1 1\n").width() == 0
 
 
 def test_parse_td_non_integer_root():

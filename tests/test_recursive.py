@@ -11,6 +11,7 @@ from twreach.graph import DiGraph, component_containing, undirected_components, 
 from twreach.recursive import (RDContext, RDNode, build_balanced,
                                build_hat_decomposition, hat_bag,
                                materialize_rd, rd_children)
+from twreach.separator import sep
 
 from test_separator import _instances
 
@@ -297,13 +298,6 @@ def test_rd_children_matches_adjacency_lists():
     assert outcomes.count("ValueError") > 10
 
 
-def test_sep_cache_consistency():
-    ctx = _path_ctx()
-    a = ctx.sep_of((3, 4))
-    b = ctx.sep_of([4, 3, 3])
-    assert a is b
-
-
 def _full_hat_decomposition(ctx):
     """build_hat_decomposition without shortcuts: every node's component
     searched in the graph, its children found on adjacency lists, and its hat
@@ -315,7 +309,7 @@ def _full_hat_decomposition(ctx):
         node, parent = stack.pop()
         nid = len(bags) + 1
         comp = set(component_containing(full.g, node.z, node.r))
-        seps = set(full.sep_of(comp).separator) | set(full.sep_of(node.z).separator)
+        seps = set(sep(full.g, full.t, comp).separator) | set(sep(full.g, full.t, node.z).separator)
         bags[nid] = vset(set(node.z) | (seps & comp))
         if parent is not None:
             edges.append((parent, nid))

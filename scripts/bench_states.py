@@ -9,12 +9,12 @@ its `twreach` package. Both are imported side by side in one process (as
 `twreach_parent` and `twreach_change`). For each n of the grid (k=3, seed 7,
 the query pair drawn as `gen.bench_one` draws it) each side balances and
 augments once; then each round times, per side, one `reach_balanced` call on
-the augmented tree, one `augment({u, v})` of the balanced tree followed by
-`reach_balanced` (what a query on an already balanced graph costs), one
-`parse_td` of the instance's `.td` text (the set-up of perfbench's ktree-cold
-and small-mixed) and one `build_balanced`. Each call follows a full garbage
-collection, so that no call pays for a collection set off by the other
-side's garbage. There are 15 rounds (7 from n = 1024 on), alternating parent
+the augmented tree, one `augment({u, v})` of the balanced tree alone, one
+`augment({u, v})` followed by `reach_balanced` (what a query on an already
+balanced graph costs), one `parse_td` of the instance's `.td` text (the
+set-up of perfbench's ktree-cold and small-mixed) and one `build_balanced`.
+Each call follows a full garbage collection, so that no call pays for a
+collection set off by the other side's garbage. There are 15 rounds (7 from n = 1024 on), alternating parent
 and change call by call, parent first on even rounds. One more call per side
 runs under tracemalloc for the heap peak, and one `_Runner.run_fast` on a
 fresh runner gives the memo, step-cache and state entries. It exits 1 when
@@ -67,6 +67,7 @@ def timed_calls(tw, g, td, text, base, tree, u: int, v: int) -> dict:
     """The timed calls of one round, by field prefix."""
     reach = tw["engine"].reach_balanced
     return {"reach_balanced_": lambda: reach(g, tree, u, v, report=True),
+            "augment_": lambda: base.augment({u, v}),
             "augment_reach_": lambda: reach(g, base.augment({u, v}), u, v, report=True),
             "parse_": lambda: tw["decomp"].parse_td(text),
             "balance_": lambda: tw["recursive"].build_balanced(g, td)}
@@ -94,6 +95,8 @@ def heap_peak_mib(eng, g, tree, u: int, v: int) -> float:
 FIELDS = {
     "reach_balanced_s": "median seconds of one engine.reach_balanced(g, tree, u, v, report=True) call",
     "reach_balanced_q1_s": "first quartile", "reach_balanced_q3_s": "third quartile",
+    "augment_s": "median seconds of one augment({u, v}) of the balanced tree built once beforehand",
+    "augment_q1_s": "first quartile", "augment_q3_s": "third quartile",
     "augment_reach_s": "median seconds of build_balanced(g, td).augment({u, v}) followed by "
                        "that reach_balanced call, the balanced tree built once beforehand",
     "augment_reach_q1_s": "first quartile", "augment_reach_q3_s": "third quartile",
@@ -111,6 +114,8 @@ FIELDS = {
     "relax_work": "ReachReport.relax_work", "peak_bits": "ReachReport.peak_bits",
     "time_ratio_median": "median over the paired calls of change time / parent time",
     "pair_wins": "paired calls in which the change was faster",
+    "augment_time_ratio_median": "time_ratio_median of the augment_s calls",
+    "augment_pair_wins": "pair_wins of the augment_s calls",
     "augment_reach_time_ratio_median": "time_ratio_median of the augment_reach_s calls",
     "augment_reach_pair_wins": "pair_wins of the augment_reach_s calls",
     "parse_time_ratio_median": "time_ratio_median of the parse_s calls",
@@ -178,7 +183,7 @@ def main(argv: list[str]) -> int:
                 print(f"n={p['n']}: {key} differs: {p[key]} != {c[key]}", file=sys.stderr)
                 return 1
     doc = {"what": "engine.reach_balanced on build_balanced(g, td).augment({u, v}), "
-                   "parse_td of the .td text and build_balanced, for "
+                   "that augment alone, parse_td of the .td text and build_balanced, for "
                    "gen.gen_ktree(KTreeSpec(n, k=3, seed=7)), (u, v) drawn as gen.bench_one "
                    "draws them",
            "grid": {"k": K, "seed": SEED, "n": list(GRID)}, "fields": FIELDS,

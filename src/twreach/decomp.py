@@ -112,8 +112,10 @@ class TreeDecomp:
     `root` is optional and only required by depth-sensitive operations. The
     tree check walks it from the root (else from the smallest id) and keeps
     the preorder and the parent map; `_shape` is computed from them on first
-    use and shared by `augment`, which carries the scope masks too.
+    use and shared by `augment` copies, which build their `bags` on first read.
     """
+
+    _augmented: tuple[TreeDecomp, frozenset[int], int] | None = None  # a copy's (base, s, mask)
 
     def __init__(self, bags: dict[int, Iterable[int]], edges: Iterable[tuple[int, int]],
                  root: int | None = None):
@@ -133,8 +135,18 @@ class TreeDecomp:
         """Adjacent node ids, ascending."""
         return self._adj[node][::-1]
 
+    @cached_property
+    def bags(self) -> dict[int, VertexSet]:
+        """An augment copy's bags, built on first read."""
+        base, extra, _ = self._augmented
+        return {i: tuple(sorted(extra.union(b))) for i, b in base.bags.items()}
+
     def width(self) -> int:
-        return max(len(b) for b in self.bags.values()) - 1
+        """Largest bag size less one; an augment copy reads its base's bag masks."""
+        if self._augmented is None:
+            return max(len(b) for b in self.bags.values()) - 1
+        base, _, add = self._augmented
+        return max((m | add).bit_count() for m in base._bag_masks.values()) - 1
 
     @cached_property
     def _shape(self) -> _Shape:
@@ -187,28 +199,31 @@ class TreeDecomp:
 
     @cached_property
     def scope_masks(self) -> dict[int, int]:
-        """Vertex mask of the bags on each node's path from the root; one
-        preorder pass fills every parent before its children."""
-        order, parent = self._order, self._parent
-        scope: dict[int, int] = {}
-        for x in order:  # the root's parent, None, has no scope
-            scope[x] = vertex_mask(self.bags[x]) | scope.get(parent[x], 0)
+        """Vertex mask of the bags on each node's path from the root, and of
+        each bag (`_bag_masks`), in one preorder pass, parents first."""
+        parent, bags = self._parent, self.bags
+        own, scope = {}, {}
+        for x in self._order:  # the root's parent, None, has no scope
+            m = own[x] = vertex_mask(bags[x])
+            scope[x] = m | scope.get(parent[x], 0)
+        self._bag_masks = own
         return scope
 
     def augment(self, s: Iterable[int]) -> "TreeDecomp":
-        """Every bag replaced by bag union s (still valid); the shape is shared,
-        and every scope mask is the base's with s added."""
-        extra = set(s)
-        out = copy.copy(self)
-        # canonical as vset makes them: the union is already a set
-        out.bags = {i: tuple(sorted(extra.union(b))) for i, b in self.bags.items()}
-        out.__dict__.pop("rooting", None)  # `rooting.top` depends on the bags
+        """A copy with every bag replaced by bag union s (still valid): it shares
+        the base's shape, adds s to its scope masks and builds no bag until read."""
+        base, extra, _ = self._augmented or (self, frozenset(), 0)
+        extra = extra.union(s)
         add = vertex_mask(extra)
-        out.scope_masks = {x: m | add for x, m in self.scope_masks.items()}
+        out = copy.copy(self)
+        for key in ("bags", "_bag_masks", "rooting"):  # these depend on the bags
+            out.__dict__.pop(key, None)
+        out._augmented = base, extra, add
+        out.scope_masks = {x: m | add for x, m in base.scope_masks.items()}
         return out
 
     def __repr__(self):
-        return f"{type(self).__name__}(nodes={len(self.bags)}, width={self.width()})"
+        return f"{type(self).__name__}(nodes={len(self._order)}, width={self.width()})"
 
 
 class BalancedTD(TreeDecomp):
@@ -232,6 +247,24 @@ class BalancedTD(TreeDecomp):
 
     # perfbench's tracer looks `augment` up in this class's own namespace
     augment = TreeDecomp.augment
+
+    @cached_property
+    def walk_plan(self) -> tuple[dict[int, tuple[list, list]], dict[int, int]]:
+        """The walk's plan, built once per base tree: each inner node's parts
+        (`LeafSeq.parts`) at budgets 1 and 2, which serves every c > 1, as
+        (node, first leaf, children), and each node's first leaf."""
+        if self._augmented is not None:
+            return self._augmented[0].walk_plan
+        from .sequences import LeafSeq  # sequences imports this module
+        parts, children = LeafSeq(self, self.root, 1).parts, self.ordered_children
+        plan, first = {}, {}
+        for x in reversed(self._order):  # children before their parents
+            first[x] = x
+            if children[x]:
+                one = [(sub, first[sub], children[sub]) for sub, _ in parts(x, 1)]
+                first[x] = one[0][1]  # a block at any c begins with the block at 1
+                plan[x] = one, [(sub, first[sub], children[sub]) for sub, _ in parts(x, 2)]
+        return plan, first
 
     def parent(self, node: int) -> int | None:
         return self._parent[node]

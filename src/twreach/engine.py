@@ -6,22 +6,23 @@ reachable from the previously marked set by at most one arc (or equal to a
 marked vertex).
 
 The production evaluator ("fast", also what the default "auto" runs) splits
-each block of the schedule by `LeafSeq.parts`, read once per inner node and
-run: the parts at budget 1, and the parts at budget 2, which serve every
-budget c > 1 scaled by c/2. Every block begins with one step at its subtree's
-first leaf (the first leaf of its first part at budget 1); the block's caller
-takes that step, and the outcome of an inner block is memoized on (subtree,
-budget, state after that step), which the schedule repeats massively. It is
-one local recursive function of `_Runner.run_fast` over (node, budget,
-state); its loop looks the memo and the step cache up itself and runs leaf
-blocks inline. States are indices, each distinct mask interned once with its
-popcount and, on its first step-cache miss, its successor closure. The walk
-also returns each block's length, so a run makes no separate pass over the
-schedule. The per-query set-up reads the tree's scope masks (each node's
-root-path bags as one vertex mask), which `augment` carries from the base
-tree. The literal iteration-by-iteration walk ("loop") is kept as the
-reference the tests compare it with: both give bit-identical results and
-accounting.
+each block of the schedule by the tree's walk plan (`BalancedTD.walk_plan`):
+each inner node's `LeafSeq.parts` at budget 1, and at budget 2, which serve
+every budget c > 1 scaled by c/2. Every block begins with one step at its
+subtree's first leaf (the first leaf of its first part at budget 1); the
+block's caller takes that step, and the outcome of an inner block is memoized
+on (subtree, budget, state after that step), which the schedule repeats
+massively. It is one local recursive function of `_Runner.run_fast` over
+(node, budget, state); its loop looks the memo and the step cache up itself
+and runs leaf blocks inline. States are indices, each distinct mask interned
+once with its popcount and, on its first step-cache miss, its successor
+closure. The walk also returns each block's length, so a run makes no
+separate pass over the schedule. A query on an `augment` copy rebuilds
+nothing its base tree knows: it reads the base's plan, the scope masks (each
+node's root-path bags as one vertex mask) that `augment` carries, and the
+root bag as the root's scope mask, and builds none of the copy's bags. The
+literal iteration-by-iteration walk ("loop") is kept as the reference the
+tests compare it with: both give bit-identical results and accounting.
 """
 from __future__ import annotations
 
@@ -170,34 +171,21 @@ class _Runner:
         outcome depends on the entry state only through that step. `walk(t,
         c, i)` runs block (t, c) from state index i after that step, taking
         every later part's first step itself; its memo entry is (t, c, i)
-        (`self.memo` keeps the last run's memo). The parts follow t's plan:
-        its sub-block order read once per run from `LeafSeq.parts(t, 1)` for
-        c = 1 and from `parts(t, 2)` for c > 1, scaled by c/2 (t itself runs
-        at c/2, every other part at c). The run's block (t, d) is the one
-        part of a virtual parent, None. The loop looks the memo and the step
+        (`self.memo` keeps the last run's memo). The parts come from the
+        tree's walk plan, read here and never built: t's parts at budget 1
+        for c = 1 and at budget 2 for c > 1, scaled by c/2 (t itself runs at
+        c/2, every other part at c). The run's block (t, d) is the one part
+        of a virtual parent, None. The loop looks the memo and the step
         cache up itself, calling `walk` or `step` only on a miss, and runs
         leaf blocks inline: marks at a fixed leaf are monotone, so a leaf
         block stops at the first repeated state.
         """
-        tree = self.tree
-        children = tree.ordered_children
         size = self.scope_size
         pops = self.pops
         step = self.step
         cache = self._step_cache
-        parts = LeafSeq(tree, t, d).parts
-        # plans[x]: the parts of inner node x at c = 1 and at c > 1. A block
-        # of x at any budget begins with its block at 1 (U_s begins with
-        # U_(s-1)), so with the first leaf of its first part there
-        plans = {None: ((t,), (t,))}
-        first: dict[int, int] = {}
-        for x in reversed(tree.preorder):  # children before their parents
-            if children[x]:
-                one = [sub for sub, _ in parts(x, 1)]
-                plans[x] = (one, [sub for sub, _ in parts(x, 2)])
-                first[x] = first[one[0]]
-            else:
-                first[x] = x
+        plans, first = self.tree.walk_plan
+        plans = {**plans, None: ([(t, first[t], self.tree.ordered_children[t])],) * 2}
         memo = self.memo = {}
 
         def walk(t: int | None, c: int, i: int) -> tuple[int, int, int]:
@@ -205,14 +193,13 @@ class _Runner:
             half = c >> 1
             work = 0
             length = -1  # the first part's first step is already taken
-            for sub in plans[t][c > 1]:
+            for sub, f, inner in plans[t][c > 1]:
                 b = half if sub == t else c
-                if length >= 0:  # a later part: take its first step
-                    f = first[sub]
+                if length >= 0:  # a later part: take its first step, at f
                     work += pops[i] * size[f]
                     j = cache.get((f, i))
                     i = step(f, i) if j is None else j
-                if children[sub]:
+                if inner:
                     hit = memo.get((sub, b, i))
                     if hit is None:
                         hit = memo[sub, b, i] = walk(sub, b, i)
@@ -263,8 +250,8 @@ def reach_balanced(g: DiGraph, tree: BalancedTD, u: int, v: int,
     Requires u and v in the root bag (callers augment first). Returns the
     reachability boolean, or the full ReachReport when report=True.
     """
-    root_bag = set(tree.bag(tree.root))
-    if u not in root_bag or v not in root_bag:
+    root = tree.scope_masks[tree.root]  # the root's scope is its bag
+    if u < 1 or v < 1 or not (root >> u & 1 and root >> v & 1):
         raise ValueError("source and target must appear in the root bag")
     n = g.n
     d_total = 1 << max(n - 1, 0).bit_length()
@@ -284,7 +271,7 @@ def reach_balanced(g: DiGraph, tree: BalancedTD, u: int, v: int,
     if not report:
         return reachable
     return ReachReport(reachable=reachable, iterations=iters, relax_work=work,
-                       peak_bits=_declared_bits(width, depth, len(tree.bags), n, iters),
+                       peak_bits=_declared_bits(width, depth, len(tree.preorder), n, iters),
                        n=n, d=d_total,
                        width_balanced=width, depth_balanced=depth, engine=engine,
                        memo_entries=len(runner.memo),

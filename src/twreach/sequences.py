@@ -95,7 +95,7 @@ class LeafSeq:
 
     def __init__(self, tree: BalancedTD, t: int, d: int):
         _check_pow2(d)
-        if t not in tree.bags:
+        if t not in tree.ordered_children:  # an augment copy builds no bags
             raise ValueError(f"unknown node id {t}")
         self.tree = tree
         self.t = t

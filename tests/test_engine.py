@@ -7,7 +7,7 @@ import random
 import pytest
 
 from twreach import engine
-from twreach.decomp import BalancedTD, TreeDecomp
+from twreach.decomp import BalancedTD, TreeDecomp, write_td
 from twreach.engine import (AncestorOrder, ReachReport, _Runner, ancestor_vertices,
                             gad_view, reach, reach_balanced)
 from twreach.gen import KTreeSpec, gen_ktree
@@ -160,6 +160,23 @@ def test_reach_balanced_requires_root_bag():
     tree = BalancedTD({1: (1, 2), 2: (2, 3)}, [(1, 2)], root=1)
     with pytest.raises(ValueError, match="root bag"):
         reach_balanced(g, tree, 1, 3)
+
+
+@pytest.mark.parametrize("bad", ["outside", 0, -1, -70, "above_n", "far_above_n"])
+@pytest.mark.parametrize("side", ["u", "v"])
+def test_reach_balanced_root_bag_check_on_masks(bad, side):
+    # the check reads the root's scope mask; every vertex it cannot hold gives
+    # the same error (a negative shift must not surface as its own error)
+    g, td = gen_ktree(KTreeSpec(n=64, k=3, seed=7))
+    base = build_balanced(g, td)
+    tree = base.augment({1, 64})
+    outside = min(set(range(2, 64)) - set(base.bag(base.root)))
+    x = {"outside": outside, "above_n": 65, "far_above_n": 1000}.get(bad, bad)
+    u, v = (x, 64) if side == "u" else (1, x)
+    for eng in ("auto", "loop"):
+        with pytest.raises(ValueError, match=r"^source and target must appear in the root bag$"):
+            reach_balanced(g, tree, u, v, engine=eng)
+    assert "bags" not in vars(tree)
 
 
 def test_reach_balanced_peak_bits_covers_vectors():
@@ -331,19 +348,21 @@ def test_walk_interns_each_state_once():
 
 def test_walk_follows_leafseq_parts(monkeypatch):
     # with LeafSeq.parts reversing the children both walks change together,
-    # so the memoized walk keeps no copy of the interleave rule of its own
-    instances = []
-    for seed in range(10):
-        g, td = gen_ktree(KTreeSpec(n=12, k=2, seed=seed))
-        tree = build_balanced(g, td)
-        d = 1 << (g.n - 1).bit_length()
-        instances.append((_Runner(g, tree), tree.root, d, 1 << (1 + seed % g.n)))
-    plain = [runner.run_fast(*query) for runner, *query in instances]
+    # so the memoized walk keeps no copy of the interleave rule of its own.
+    # A tree keeps its walk plan, so the patched side balances fresh trees
+    def instances():
+        for seed in range(10):
+            g, td = gen_ktree(KTreeSpec(n=12, k=2, seed=seed))
+            tree = build_balanced(g, td)
+            d = 1 << (g.n - 1).bit_length()
+            yield _Runner(g, tree), tree.root, d, 1 << (1 + seed % g.n)
+
+    plain = [runner.run_fast(*query) for runner, *query in instances()]
     original = LeafSeq.parts
     monkeypatch.setattr(LeafSeq, "parts", lambda self, t, d: original(self, t, d)[::-1])
-    patched = [runner.run_fast(*query) for runner, *query in instances]
-    assert patched == [runner.run_loop(*query) for runner, *query in instances]
-    assert patched != plain
+    fast, loop = zip(*[(runner.run_fast(*query), runner.run_loop(*query))
+                       for runner, *query in instances()])
+    assert list(fast) == list(loop) != plain
 
 
 def _first_leaf_instances():
@@ -368,13 +387,14 @@ def _walk_first_leaf(runner, t, d):
 
 
 def test_walk_first_leaf_is_schedule_start(monkeypatch):
-    instances = list(_first_leaf_instances())
-    assert any(len(tree.children(x)) == 1 for _, tree in instances for x in tree.bags)
     original = LeafSeq.parts
     for patch in (False, True):
         if patch:
             monkeypatch.setattr(LeafSeq, "parts",
                                 lambda self, t, d: original(self, t, d)[::-1])
+        # built after the patch, as a tree keeps the walk plan it first builds
+        instances = list(_first_leaf_instances())
+        assert any(len(tree.children(x)) == 1 for _, tree in instances for x in tree.bags)
         for g, tree in instances:
             runner = _Runner(g, tree)
             for t in tree.node_ids():
@@ -434,17 +454,59 @@ def test_augment_carries_scope_masks():
                     assert _Runner(g, t).scope_mask is t.scope_masks
 
 
+def test_augment_copy_is_the_eager_union():
+    # an augment copy builds its bags only when read; they, its width(), its
+    # .td text and its rooting are the eager union's, also when augmented
+    # twice, and the base is unchanged. A query on the copy builds no bag and
+    # reports what the same query on the eager union reports
+    rng = random.Random(17)
+    instances = [_random_walk_instance(rng) for _ in range(60)]
+    for seed in range(6):
+        g, td = gen_ktree(KTreeSpec(n=20 + 10 * seed, k=1 + seed % 3, seed=seed))
+        instances.append((g, build_balanced(g, td)))
+    for g, base in instances:
+        edges = [tuple(e) for e in base.edges]
+        before = (dict(base.bags), write_td(base), base.width(), dict(base.scope_masks))
+        covered = sorted({v for b in base.bags.values() for v in b})
+        top = max(covered, default=0)
+        for s in (set(), set(rng.sample(covered, min(2, len(covered)))),
+                  {top + 1, top + rng.randint(2, 5)}):
+            eager = BalancedTD({i: set(b) | s for i, b in base.bags.items()}, edges, base.root)
+            first = set(sorted(s)[:1])
+            for aug in (base.augment(s), base.augment(first).augment(s - first)):
+                assert aug.width() == eager.width() and "bags" not in vars(aug)
+                assert aug.bags == eager.bags and aug.width() == eager.width()
+                assert write_td(aug) == write_td(eager)
+                assert aug.rooting == eager.rooting
+        u, v = rng.randint(1, g.n), rng.randint(1, g.n)
+        eager = BalancedTD({i: set(b) | {u, v} for i, b in base.bags.items()}, edges, base.root)
+        aug = base.augment({u, v})
+        for eng in ("auto", "loop") if g.n <= 8 else ("auto",):  # the literal walk on small trees
+            assert reach_balanced(g, aug, u, v, engine=eng, report=True) == \
+                reach_balanced(g, eager, u, v, engine=eng, report=True)
+        assert "bags" not in vars(aug)
+        assert (base.bags, write_td(base), base.width(), base.scope_masks) == before
+
+
 def test_walk_reads_each_plan_once(monkeypatch):
-    # one run reads an inner node's parts at most twice (budget 1 and 2),
-    # and never a leaf's
+    # the first query on a fresh base, through an augment copy, reads each
+    # inner node's parts once per budget class (1 and 2) and never a leaf's,
+    # and leaves the plan on the base; a query on another copy then reads
+    # parts zero times, and no query builds its copy's bags
     g, td, u, v = _bench_query(256)
-    tree = build_balanced(g, td).augment({u, v})
-    want = _Runner(g, tree).run_fast(tree.root, 256, 1 << u)
+    queries = [(u, v), (v, u), (1, g.n)]
+    want = [reach_balanced(g, build_balanced(g, td).augment({a, b}), a, b, report=True)
+            for a, b in queries]
     calls = collections.Counter()
     original = LeafSeq.parts
     monkeypatch.setattr(LeafSeq, "parts",
                         lambda self, t, d: calls.update([(t, min(d, 2))]) or original(self, t, d))
-    assert _Runner(g, tree).run_fast(tree.root, 256, 1 << u) == want
-    inner = {x for x in tree.bags if tree.children(x)}
-    assert set(calls) <= {(x, c) for x in inner for c in (1, 2)}
-    assert max(calls.values()) == 1 and sum(calls.values()) <= 2 * len(inner)
+    base = build_balanced(g, td)
+    inner = {x for x in base.bags if base.children(x)}
+    for k, (a, b) in enumerate(queries):
+        tree = base.augment({a, b})
+        assert reach_balanced(g, tree, a, b, report=True) == want[k]
+        assert calls == (collections.Counter({(x, c): 1 for x in inner for c in (1, 2)})
+                         if k == 0 else collections.Counter())
+        assert "walk_plan" in vars(base) and "bags" not in vars(tree)
+        calls.clear()

@@ -14,12 +14,12 @@ the augmented tree, one `augment({u, v})` of the balanced tree alone, one
 balanced graph costs), one `parse_td` of the instance's `.td` text (the
 set-up of perfbench's ktree-cold and small-mixed) and one `build_balanced`.
 Each call follows a full garbage collection, so that no call pays for a
-collection set off by the other side's garbage. There are 15 rounds (7 from n = 1024 on), alternating parent
-and change call by call, parent first on even rounds. One more call per side
-runs under tracemalloc for the heap peak, and one `_Runner.run_fast` on a
-fresh runner gives the memo, step-cache and state entries. It exits 1 when
-the two sides' answers, accounting, balanced trees, memo, step or state
-entries differ.
+collection set off by the other side's garbage. There are 15 rounds at every
+n, alternating parent and change call by call, parent first on even rounds.
+One more call per side runs under tracemalloc for the heap peak, and one
+`_Runner.run_fast` on a fresh runner gives the memo, step-cache and state
+entries. It exits 1 when the two sides' answers, accounting, balanced trees,
+memo, step or state entries differ.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from pathlib import Path
 
 GRID = (64, 256, 1024, 2048, 4096)
 K, SEED = 3, 7
+RUNS = 15  # timed calls per side and kind at every n
 
 
 def load(name: str, src: str):
@@ -147,11 +148,10 @@ def main(argv: list[str]) -> int:
              "change": load("twreach_change", change_src)}
     rows: dict[str, list] = {side: [] for side in sides}
     for n in GRID:
-        runs = 15 if n <= 256 else 7
         inputs = {side: prepare(tw, n) for side, tw in sides.items()}
         calls = {side: timed_calls(tw, *inputs[side]) for side, tw in sides.items()}
         times = {side: {kind: [] for kind in calls[side]} for side in sides}
-        for r in range(runs):
+        for r in range(RUNS):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for kind in calls["parent"]:
                 for side in order:
@@ -162,7 +162,7 @@ def main(argv: list[str]) -> int:
         for side, tw in sides.items():
             g, td, text, base, tree, u, v = inputs[side]
             rep = tw["engine"].reach_balanced(g, tree, u, v, report=True)
-            row = {"n": n, "runs": runs}
+            row = {"n": n, "runs": RUNS}
             for kind, kind_times in times[side].items():
                 row.update(quartiles(kind_times, kind))
             sha1 = hashlib.sha1(tw["decomp"].write_td(base).encode()).hexdigest()[:12]

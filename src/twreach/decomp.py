@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-from .graph import DiGraph, VertexSet, text_lines, vertex_mask
+from .graph import DiGraph, VertexSet, members, text_lines, vertex_mask
 
 
 class TdFormatError(ValueError):
@@ -111,11 +111,11 @@ class TreeDecomp:
     `bags` maps node-id to a canonical VertexSet; `edges` is the tree edge set;
     `root` is optional and only required by depth-sensitive operations. The
     tree check walks it from the root (else from the smallest id) and keeps
-    the preorder and the parent map; `_shape` is computed from them on first
-    use and shared by `augment` copies, which build their `bags` on first read.
+    the preorder and the parent map. An `augment` copy shares `_shape` and the
+    bag masks, adds the vertex mask `_add` and builds its `bags` on first read.
     """
 
-    _augmented: tuple[TreeDecomp, frozenset[int], int] | None = None  # a copy's (base, s, mask)
+    _add: int | None = None  # an augment copy's added vertices, as a mask
 
     def __init__(self, bags: dict[int, Iterable[int]], edges: Iterable[tuple[int, int]],
                  root: int | None = None):
@@ -138,15 +138,19 @@ class TreeDecomp:
     @cached_property
     def bags(self) -> dict[int, VertexSet]:
         """An augment copy's bags, built on first read."""
-        base, extra, _ = self._augmented
-        return {i: tuple(sorted(extra.union(b))) for i, b in base.bags.items()}
+        return {i: members(m | self._add) for i, m in self._bag_masks.items()}
+
+    @cached_property
+    def _bag_masks(self) -> dict[int, int]:
+        """Each bag's vertex mask; an augment copy shares its base's."""
+        return {x: vertex_mask(b) for x, b in self.bags.items()}
 
     def width(self) -> int:
-        """Largest bag size less one; an augment copy reads its base's bag masks."""
-        if self._augmented is None:
+        """Largest bag size less one; an augment copy reads the bag masks."""
+        add = self._add
+        if add is None:
             return max(len(b) for b in self.bags.values()) - 1
-        base, _, add = self._augmented
-        return max((m | add).bit_count() for m in base._bag_masks.values()) - 1
+        return max((m | add).bit_count() for m in self._bag_masks.values()) - 1
 
     @cached_property
     def _shape(self) -> _Shape:
@@ -199,27 +203,24 @@ class TreeDecomp:
 
     @cached_property
     def scope_masks(self) -> dict[int, int]:
-        """Vertex mask of the bags on each node's path from the root, and of
-        each bag (`_bag_masks`), in one preorder pass, parents first."""
-        parent, bags = self._parent, self.bags
-        own, scope = {}, {}
-        for x in self._order:  # the root's parent, None, has no scope
-            m = own[x] = vertex_mask(bags[x])
-            scope[x] = m | scope.get(parent[x], 0)
-        self._bag_masks = own
+        """Vertex mask of the bags on each node's path from the root, in one
+        preorder pass, parents first."""
+        parent, own, add, scope = self._parent, self._bag_masks, self._add or 0, {}
+        for x in self._order:  # the root's parent, None, has no scope but `_add`
+            scope[x] = own[x] | scope.get(parent[x], add)
         return scope
 
     def augment(self, s: Iterable[int]) -> "TreeDecomp":
         """A copy with every bag replaced by bag union s (still valid): it shares
-        the base's shape, adds s to its scope masks and builds no bag until read."""
-        base, extra, _ = self._augmented or (self, frozenset(), 0)
-        extra = extra.union(s)
-        add = vertex_mask(extra)
+        the shape and the bag masks, adds s to `_add` and to its scope masks,
+        and builds no bag until read."""
+        scope = self.scope_masks  # also builds the bag masks the copy shares
+        add = vertex_mask(s)
         out = copy.copy(self)
-        for key in ("bags", "_bag_masks", "rooting"):  # these depend on the bags
+        for key in ("bags", "rooting"):  # these depend on the added vertices
             out.__dict__.pop(key, None)
-        out._augmented = base, extra, add
-        out.scope_masks = {x: m | add for x, m in base.scope_masks.items()}
+        out._add = (self._add or 0) | add
+        out.scope_masks = {x: m | add for x, m in scope.items()}
         return out
 
     def __repr__(self):
@@ -245,16 +246,16 @@ class BalancedTD(TreeDecomp):
                 raise ValueError(f"node {x} has {len(kids)} children; binary tree required")
         self.ordered_children = self._shape.children
 
-    # perfbench's tracer looks `augment` up in this class's own namespace
-    augment = TreeDecomp.augment
+    def augment(self, s: Iterable[int]) -> "BalancedTD":
+        """`TreeDecomp.augment`, after building the walk plan the copy shares."""
+        self.walk_plan
+        return super().augment(s)
 
     @cached_property
     def walk_plan(self) -> tuple[dict[int, tuple[list, list]], dict[int, int]]:
         """The walk's plan, built once per base tree: each inner node's parts
         (`LeafSeq.parts`) at budgets 1 and 2, which serves every c > 1, as
         (node, first leaf, children), and each node's first leaf."""
-        if self._augmented is not None:
-            return self._augmented[0].walk_plan
         from .sequences import LeafSeq  # sequences imports this module
         parts, children = LeafSeq(self, self.root, 1).parts, self.ordered_children
         plan, first = {}, {}
@@ -303,22 +304,24 @@ def validate_td(g: DiGraph, t: TreeDecomp, vertices: Iterable[int] | None = None
     With `vertices` given, coverage is checked against that vertex subset only
     (used for per-component decompositions of disconnected graphs).
     """
-    target = set(vertices) if vertices is not None else set(range(1, g.n + 1))
+    # ascending, with O(1) membership; 1..n stays a range, so memory follows the bags
+    target = range(1, g.n + 1) if vertices is None else dict.fromkeys(sorted(vertices))
     # occ[v]: the ids of the bags that hold v
     occ: dict[int, set[int]] = {}
     for x, b in t.bags.items():
         for v in b:
             occ.setdefault(v, set()).add(x)
-    covered = set(occ)
-    covers_vertices = covered == target
+    covers_vertices = len(occ) == len(target) and all(v in target for v in occ)
     witness = None
-    if not covers_vertices:
-        missing = sorted(target - covered) or sorted(covered - target)
-        witness = f"vertex coverage mismatch, e.g. vertex {missing[0]}"
+    if not covers_vertices:  # the smallest uncovered target, else the smallest stray
+        missing = next(itertools.chain((v for v in target if v not in occ),
+                                       sorted(v for v in occ if v not in target)))
+        witness = f"vertex coverage mismatch, e.g. vertex {missing}"
 
     covers_edges = True
-    for u, v in sorted(g.und_edges):
-        if u in target and v in target and occ.get(u, set()).isdisjoint(occ.get(v, ())):
+    edges = g.und_edges if vertices is None else [e for e in g.und_edges if set(e) <= target.keys()]
+    for u, v in sorted(edges):
+        if occ.get(u, set()).isdisjoint(occ.get(v, ())):
             covers_edges = False
             if witness is None:
                 witness = f"edge ({u}, {v}) not covered by any bag"

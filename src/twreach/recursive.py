@@ -48,7 +48,6 @@ class RDContext:
         self.v0 = v0
         self._sep_cache: dict[VertexSet, SeparatorResult] = {}
         self._comp_cache: dict[RDNode, VertexSet] = {}
-        self._settled: dict[RDNode, bool] = {}
 
     def root(self) -> RDNode:
         return RDNode((), self.v0)
@@ -70,13 +69,10 @@ class RDContext:
 
     def settled(self, node: RDNode) -> bool:
         """True iff the node's component lies inside its own separator bag:
-        the node is then a leaf with hat bag Z | C (facts (a) and (b)). Cached."""
-        hit = self._settled.get(node)
-        if hit is None:
-            comp = self.component_of(node)
-            hit = self._settled[node] = (len(comp) == 1 and node.r in self.t.rooting.top
-                                         or set(comp) <= set(self.sep_of(comp).separator))
-        return hit
+        the node is then a leaf with hat bag Z | C (facts (a) and (b))."""
+        comp = self.component_of(node)
+        return (len(comp) == 1 and node.r in self.t.rooting.top
+                or set(comp) <= set(self.sep_of(comp).separator))
 
 
 def _z_prime(ctx: RDContext, node: RDNode, comp: VertexSet) -> set[int]:

@@ -1,5 +1,7 @@
+import copy
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -104,6 +106,25 @@ def test_validate_vertex_subset():
     t = TreeDecomp({1: (1, 2)}, [])
     assert validate_td(g, t, vertices=(1, 2)).ok
     assert not validate_td(g, t).ok
+
+
+def test_validate_coverage_memory_follows_the_bags():
+    # a million vertices and one bag: coverage is checked without a set of
+    # 1..n, and the witness is still the smallest uncovered vertex, or else
+    # the smallest covered one outside 1..n
+    g = DiGraph(10**6, [(1, 2)])
+    t = TreeDecomp({1: (1, 2)}, [])
+    tracemalloc.start()
+    try:
+        rep = validate_td(g, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.witness == "vertex coverage mismatch, e.g. vertex 3"
+    assert not rep.covers_vertices and peak < 2**20
+    stray = TreeDecomp({1: (1, 2, 7, 5)}, [])
+    assert validate_td(DiGraph(2, []), stray).witness == "vertex coverage mismatch, e.g. vertex 5"
+    assert validate_td(DiGraph(3, []), stray).witness == "vertex coverage mismatch, e.g. vertex 3"
 
 
 def _validate_all_bags(g, t, vertices=None):
@@ -337,6 +358,28 @@ def test_balanced_shape_matches_reference_walk():
         assert write_td(b) == _ref_write_td(b, kids)
         aug = b.augment({9})
         assert aug.depth() == b.depth() and all(aug.depth_of(x) == depth_of[x] for x in bags)
+
+
+def test_augment_copies_share_the_base_tables():
+    # a copy, and a copy of a copy, hold the base's bag masks, shape and walk
+    # plan themselves and refer to no other decomposition; a decomposition
+    # that is never augmented builds no bag masks for its width
+    g, td = gen_ktree(KTreeSpec(n=40, k=2, seed=3))
+    for base in (build_balanced(g, td), TreeDecomp(td.bags, [tuple(e) for e in td.edges], 1)):
+        assert base.width() >= 0 and "_bag_masks" not in vars(base)
+        base.depth()  # the shape, which a balanced tree builds on construction
+        once = base.augment({1, 40})
+        twice = once.augment({2})
+        shared = ("_bag_masks", "_shape") + (("walk_plan",) if isinstance(base, BalancedTD) else ())
+        for aug in (once, twice):
+            assert all(vars(aug)[key] is vars(base)[key] for key in shared)
+            for value in vars(aug).values():
+                assert not any(isinstance(v, TreeDecomp)
+                               for v in (value if isinstance(value, tuple) else (value,)))
+        assert twice.bags == {x: tuple(sorted({1, 2, 40}.union(b))) for x, b in base.bags.items()}
+        again = copy.copy(twice)
+        del again.scope_masks  # the generic pass, over the shared masks and `_add`
+        assert again.scope_masks == twice.scope_masks
 
 
 def test_parse_td_basic():

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Compare the marking walk, parse and balancing of two twreach checkouts
-on the k-tree grid.
+on the k-tree grid, and their balancing on decompositions of other shapes.
 
     python3 scripts/bench_states.py PARENT=PARENT_SRC CHANGE=CHANGE_SRC > BENCH_name.json
 
@@ -18,8 +18,17 @@ collection set off by the other side's garbage. There are 15 rounds at every
 n, alternating parent and change call by call, parent first on even rounds.
 One more call per side runs under tracemalloc for the heap peak, and one
 `_Runner.run_fast` on a fresh runner gives the memo, step-cache and state
-entries. It exits 1 when the two sides' answers, accounting, balanced trees,
-memo, step or state entries differ.
+entries.
+
+Then come the shape families (`SHAPES`): a directed path with its path
+decomposition rooted at one end (`gen.gen_path`), and grids and sparse
+random graphs (m = 1.1n undirected pairs) with random arc directions and
+their min-degree elimination decompositions (`gen.elimination_td`). The
+change side's `gen` writes each instance's `.gr` and `.td` text once; each
+side parses both texts and times `build_balanced` on them, alternating as
+above, in `SHAPE_RUNS` rounds. It exits 1 when the two sides' answers,
+accounting, balanced trees (of the grid or of a family), memo, step or
+state entries differ.
 """
 from __future__ import annotations
 
@@ -39,6 +48,10 @@ from pathlib import Path
 GRID = (64, 256, 1024, 2048, 4096)
 K, SEED = 3, 7
 RUNS = 15  # timed calls per side and kind at every n
+SHAPES = (("path", 250), ("path", 500), ("path", 1000), ("grid", 64), ("grid", 144),
+          ("grid", 256), ("sparse", 150), ("sparse", 300), ("sparse", 600))
+SHAPE_SEED = 7
+SHAPE_RUNS = 5  # timed build_balanced calls per side and instance
 
 
 def load(name: str, src: str):
@@ -50,7 +63,7 @@ def load(name: str, src: str):
     sys.modules[name] = mod
     spec.loader.exec_module(mod)
     return {sub: importlib.import_module(f"{name}.{sub}")
-            for sub in ("decomp", "engine", "gen", "recursive")}
+            for sub in ("decomp", "engine", "gen", "graph", "recursive")}
 
 
 def prepare(tw, n: int):
@@ -62,6 +75,51 @@ def prepare(tw, n: int):
     base = tw["recursive"].build_balanced(g, td)
     text = tw["decomp"].write_td(td, n_vertices=n)
     return g, td, text, base, base.augment({u, v}), u, v
+
+
+def shape_texts(tw, family: str, n: int) -> tuple[str, str]:
+    """The .gr and .td texts of one shape instance, written by package tw."""
+    gen, graph = tw["gen"], tw["graph"]
+    if family == "path":
+        g, td = gen.gen_path(n)
+    else:
+        rng = random.Random(SHAPE_SEED * 1000003 + n)
+        if family == "grid":
+            side = round(n ** 0.5)
+            und = [(v, v + 1) for v in range(1, n + 1) if v % side]
+            und += [(v, v + side) for v in range(1, n - side + 1)]
+        else:
+            und = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(round(1.1 * n))]
+        g = graph.DiGraph(n, [(a, b) if rng.random() < 0.5 else (b, a) for a, b in und])
+        td = gen.elimination_td(g)
+    return graph.write_graph(g), tw["decomp"].write_td(td, n_vertices=n)
+
+
+def shape_rows(sides: dict) -> dict:
+    """Per side, one row per shape instance: balance_s quartiles and the tree's hash."""
+    rows: dict[str, list] = {side: [] for side in sides}
+    for family, n in SHAPES:
+        gr, td_text = shape_texts(sides["change"], family, n)
+        inputs = {side: (tw["graph"].parse_graph(gr), tw["decomp"].parse_td(td_text))
+                  for side, tw in sides.items()}
+        times: dict[str, list[float]] = {side: [] for side in sides}
+        trees = {}
+        for r in range(SHAPE_RUNS):
+            for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
+                gc.collect()
+                start = time.perf_counter()
+                trees[side] = sides[side]["recursive"].build_balanced(*inputs[side])
+                times[side].append(time.perf_counter() - start)
+        for side, tw in sides.items():
+            sha1 = hashlib.sha1(tw["decomp"].write_td(trees[side]).encode()).hexdigest()[:12]
+            row = {"family": family, "n": n, "width_input": inputs[side][1].width(),
+                   "runs": SHAPE_RUNS, **quartiles(times[side], "balance_"),
+                   "balanced_sha1": sha1}
+            if side == "change":
+                row.update(paired(times["parent"], times["change"], "balance_"))
+            rows[side].append(row)
+        print(f"{family} n={n} done", file=sys.stderr, flush=True)
+    return rows
 
 
 def timed_calls(tw, g, td, text, base, tree, u: int, v: int) -> dict:
@@ -124,6 +182,8 @@ FIELDS = {
     "balance_time_ratio_median": "time_ratio_median of the balance_s calls",
     "balance_pair_wins": "pair_wins of the balance_s calls",
     "balanced_sha1": "first 12 hex digits of the SHA-1 of write_td(build_balanced(g, td))",
+    "family": "shapes: path (gen.gen_path), grid or sparse (gen.elimination_td of the graph)",
+    "width_input": "shapes: width of the input decomposition",
 }
 
 
@@ -176,12 +236,18 @@ def main(argv: list[str]) -> int:
                                       "" if kind == "reach_balanced_" else kind))
             rows[side].append(row)
         print(f"n={n} done", file=sys.stderr, flush=True)
+    shapes = shape_rows(sides)
     for p, c in zip(rows["parent"], rows["change"]):
         for key in ("reachable", "iterations", "relax_work", "peak_bits", "balanced_sha1",
                     "memo_entries", "step_entries", "state_entries"):
             if p[key] != c[key]:
                 print(f"n={p['n']}: {key} differs: {p[key]} != {c[key]}", file=sys.stderr)
                 return 1
+    for p, c in zip(shapes["parent"], shapes["change"]):
+        if p["balanced_sha1"] != c["balanced_sha1"]:
+            print(f"{p['family']} n={p['n']}: balanced_sha1 differs: "
+                  f"{p['balanced_sha1']} != {c['balanced_sha1']}", file=sys.stderr)
+            return 1
     doc = {"what": "engine.reach_balanced on build_balanced(g, td).augment({u, v}), "
                    "that augment alone, parse_td of the .td text and build_balanced, for "
                    "gen.gen_ktree(KTreeSpec(n, k=3, seed=7)), (u, v) drawn as gen.bench_one "
@@ -190,7 +256,9 @@ def main(argv: list[str]) -> int:
            "host": f"{os.cpu_count()}-vCPU {platform.system()}, Python {platform.python_version()}",
            "how": f"python3 scripts/bench_states.py {parent}=<its src> {change}=<its src>,"
                   " standard output redirected to this file",
-           "sides": {"parent": parent, "change": change}, **rows}
+           "sides": {"parent": parent, "change": change}, **rows,
+           "shapes": {"instances": [f"{family} n={n}" for family, n in SHAPES],
+                      "seed": SHAPE_SEED, **shapes}}
     print(json.dumps(doc, indent=1))
     return 0
 

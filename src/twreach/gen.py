@@ -1,4 +1,5 @@
-"""Random k-tree instance generation and the benchmark harness.
+"""Instance generation (random k-trees, directed paths, elimination-order
+decompositions) and the benchmark harness.
 
 A k-tree is grown from a (k+1)-clique by repeatedly attaching a fresh vertex
 to a random k-clique inside an existing bag; the elimination-order bags form a
@@ -6,6 +7,10 @@ width-k decomposition by construction. Each undirected edge is then oriented
 in each direction independently with the configured probability; edges that
 receive no direction are absent from the digraph while the decomposition keeps
 covering them vacuously.
+
+`gen_path` and `elimination_td` give the shapes a k-tree never has: a path
+decomposition as deep as the graph, and the decomposition of any graph by
+a min-degree elimination order.
 
 Randomness comes from random.Random (Mersenne Twister), so a fixed seed
 reproduces byte-identical corpora across platforms.
@@ -61,6 +66,41 @@ def gen_ktree(spec: KTreeSpec) -> tuple[DiGraph, TreeDecomp]:
     g = DiGraph(spec.n, arcs)
     td = TreeDecomp({i + 1: bag for i, bag in enumerate(bags)}, td_edges, root=1)
     return g, td
+
+
+def gen_path(n: int) -> tuple[DiGraph, TreeDecomp]:
+    """The directed path 1 -> 2 -> ... -> n with its path decomposition:
+    bag i is {i, i+1}, bag i's parent is bag i-1, and the root is bag 1."""
+    if n < 1:
+        raise ValueError("need at least 1 vertex")
+    g = DiGraph(n, [(v, v + 1) for v in range(1, n)])
+    bags = {i: (i, i + 1) for i in range(1, n)} or {1: (1,)}
+    return g, TreeDecomp(bags, [(i, i + 1) for i in range(1, n - 1)], root=1)
+
+
+def elimination_td(g: DiGraph) -> TreeDecomp:
+    """Decomposition from a min-degree elimination order (ties by lowest id).
+
+    Bag i is the i-th eliminated vertex with its neighbours at that time; its
+    tree parent is the bag of the first of those neighbours eliminated after
+    it, or the next bag when it has none, so disconnected graphs give a tree.
+    """
+    adj = {v: set(g.und_adj[v]) for v in range(1, g.n + 1)}
+    order, bags = [], []
+    while adj:
+        v = min(adj, key=lambda x: (len(adj[x]), x))
+        nbrs = adj.pop(v)
+        for a in nbrs:
+            adj[a] |= nbrs
+            adj[a] -= {a, v}
+        order.append(v)
+        bags.append(nbrs | {v})
+    pos = {v: i for i, v in enumerate(order)}
+    edges = []
+    for i, v in enumerate(order[:-1]):
+        later = bags[i] - {v}
+        edges.append((i + 1, 1 + (min(pos[x] for x in later) if later else i + 1)))
+    return TreeDecomp({i + 1: b for i, b in enumerate(bags)}, edges)
 
 
 @dataclass

@@ -57,18 +57,13 @@ class DiGraph:
         return f"DiGraph(n={self.n}, m={len(self.arcs)})"
 
     @cached_property
-    def succ(self) -> list[list[int]]:
-        """Successor adjacency lists, indexed by vertex id (index 0 unused)."""
-        out: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for u, v in sorted(self.arcs):
-            if u != v:
-                out[u].append(v)
-        return out
-
-    @cached_property
     def succ_mask(self) -> list[int]:
         """Successor masks: bit y of succ_mask[x] is set iff x -> y is an arc and x != y."""
-        return [vertex_mask(ys) for ys in self.succ]
+        out = [0] * (self.n + 1)
+        for u, v in self.arcs:
+            if u != v:
+                out[u] |= 1 << v
+        return out
 
     @cached_property
     def und_adj(self) -> list[list[int]]:
@@ -173,22 +168,26 @@ def component_containing(g: DiGraph, z: Iterable[int], r: int) -> VertexSet:
 
 
 def bfs_reachable(g: DiGraph, u: int, v: int) -> bool:
-    """Linear-space reachability oracle: true iff a directed path u -> v exists."""
+    """Linear-space reachability oracle: true iff a directed path u -> v exists.
+
+    Its memory follows the arcs, not n: the adjacency is built from `g.arcs`
+    and the visited vertices are kept in a set.
+    """
     if not (1 <= u <= g.n and 1 <= v <= g.n):
         raise ValueError("query vertex out of range")
     if u == v:
         return True
-    succ = g.succ
-    seen = bytearray(g.n + 1)
-    seen[u] = 1
+    succ: dict[int, list[int]] = {}
+    for x, y in g.arcs:
+        succ.setdefault(x, []).append(y)
+    seen = {u}
     queue = deque([u])
     while queue:
-        x = queue.popleft()
-        for y in succ[x]:
+        for y in succ.get(queue.popleft(), ()):
             if y == v:
                 return True
-            if not seen[y]:
-                seen[y] = 1
+            if y not in seen:
+                seen.add(y)
                 queue.append(y)
     return False
 

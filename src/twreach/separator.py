@@ -8,8 +8,8 @@ arithmetic (2*count <= |U|).
 `sep` returns the first bag in ascending node id that balanced-separates U;
 the recursive decomposition is defined by that choice. It requires a valid
 decomposition of the graph (`decomp.validate_td`) and finds that bag with
-almost no graph search, by two facts about the branches of T minus a node x
-(the components of the tree once x is removed):
+almost no graph search, by three facts about the branches of T minus a node
+x (the components of the tree once x is removed):
 
 1. Every component of G - B(x) lies inside one branch of T - x, because a
    vertex outside B(x) occurs in one branch only and every edge is covered.
@@ -25,10 +25,18 @@ almost no graph search, by two facts about the branches of T minus a node x
    to the heavy branches of all rejections so far: a subtree, minus the
    subtrees cut off when the heavy branch led to a parent, all as preorder
    intervals.
+3. If U is connected in G and every target lies in some bag, the bags that
+   meet U form one subtree of T (each target's bags do, and the ends of an
+   edge share a bag). Its top is r, the bag at preorder position min top(v),
+   so every bag outside subtree(r) misses U, and the scan starts from
+   subtree(r) alone. A bag z that misses U leaves all of U in one component
+   of G - B(z), so z is rejected with no search, and the branch counts name
+   the branch that holds U. `sep` checks that U is connected with one search
+   inside U's own mask.
 
-Accepting by fact 1 is exact and skipping by fact 2 only drops bags that
-would be rejected, so the bag returned is the one the exhaustive scan over
-ascending ids returns, wherever T is rooted. Every bag the scan evaluates
+Accepting by fact 1 is exact, and skipping by facts 2 and 3 only drops bags
+that would be rejected, so the bag returned is the one the exhaustive scan
+over ascending ids returns, wherever T is rooted. Every bag the scan evaluates
 leaves the region, so the next one is the smallest id left in it: one
 range-minimum query (`Rooting.first_id`) per preorder interval of the region.
 """
@@ -85,9 +93,17 @@ def sep(g: DiGraph, t: TreeDecomp, u) -> SeparatorResult:
     # Targets sorted by top(v); a target no bag holds sorts after every subtree.
     keyed = sorted((rooting.top.get(v, len(pre)), v) for v in targets)
     keys = [k for k, _ in keyed]
+    tops = [v for _, v in keyed]
     tset = set(targets)
     umask = vertex_mask(targets)
-    region = [(0, len(pre))]  # the scan keeps to these preorder intervals
+    # fact 3: a connected U held by the bags is met only inside subtree(r)
+    connected = (0 < total and keys[-1] < len(pre)
+                 and grow(g.und_mask, umask, umask & -umask) == umask)
+    if connected:
+        r = rooting.order[keys[0]]
+        region = [(pre[r], end[r])]
+    else:
+        region = [(0, len(pre))]  # the scan keeps to these preorder intervals
     while region:
         # every bag scanned leaves the region, so the next one in ascending id
         # is the region's smallest
@@ -96,20 +112,21 @@ def sep(g: DiGraph, t: TreeDecomp, u) -> SeparatorResult:
         bag = t.bags[node]
         # targets in the parent branch: top(v) outside subtree(node), v not in bag
         i, j = bisect_left(keys, p), bisect_left(keys, end[node])
-        outside = total - (j - i) - sum(v in tset for v in bag if rooting.top[v] < p)
         heavy = None
         for c in rooting.children[node]:
             a, b = bisect_left(keys, pre[c]), bisect_left(keys, end[c])
             if 2 * (b - a) > total:
                 heavy = (pre[c], end[c])
-                starts = [v for _, v in keyed[a:b]]
                 break
         if heavy is None:
+            outside = total - (j - i) - sum(v in tset for v in bag if rooting.top[v] < p)
             if 2 * outside <= total:
                 return SeparatorResult(node, bag, total)
-            starts = [v for _, v in keyed[:i] + keyed[j:] if v not in bag]
-        if is_balanced_separator(g, bag, umask, starts):
-            return SeparatorResult(node, bag, total)
+        if not (connected and tset.isdisjoint(bag)):
+            # search from the heavy branch's targets; a target in the bag is skipped
+            starts = tops[a:b] if heavy else tops[:i] + tops[j:]
+            if is_balanced_separator(g, bag, umask, starts):
+                return SeparatorResult(node, bag, total)
         if heavy is None:  # cut out subtree(node)
             pieces = [piece for a, b in region for piece in ((a, min(b, p)), (max(a, end[node]), b))]
         else:  # keep to the heavy child's subtree

@@ -7,14 +7,13 @@ import pytest
 
 from twreach.decomp import (BalancedTD, TdFormatError, TreeDecomp, ValidityReport,
                             binarize_balance, parse_td, validate_td, write_td)
-from twreach.gen import KTreeSpec, gen_ktree
-from twreach.graph import DiGraph, undirected_components
+from twreach.gen import KTreeSpec, gen_ktree, gen_path
+from twreach.graph import DiGraph, bfs_reachable, undirected_components
 from twreach.recursive import build_balanced
 
 from test_separator import _instances
 
-PATH_G = DiGraph(4, [(1, 2), (2, 3), (3, 4)])
-PATH_T = TreeDecomp({1: (1, 2), 2: (2, 3), 3: (3, 4)}, [(1, 2), (2, 3)], root=1)
+PATH_G, PATH_T = gen_path(4)  # 1 -> 2 -> 3 -> 4, bags {1,2}, {2,3}, {3,4} from root 1
 
 
 def test_bags_canonicalized():
@@ -125,6 +124,19 @@ def test_validate_coverage_memory_follows_the_bags():
     stray = TreeDecomp({1: (1, 2, 7, 5)}, [])
     assert validate_td(DiGraph(2, []), stray).witness == "vertex coverage mismatch, e.g. vertex 5"
     assert validate_td(DiGraph(3, []), stray).witness == "vertex coverage mismatch, e.g. vertex 3"
+
+
+def test_bfs_reachable_memory_follows_the_arcs():
+    # a million vertices and three arcs: the oracle holds no per-vertex table
+    g = DiGraph(10**6, [(1, 2), (2, 5), (7, 7)])
+    tracemalloc.start()
+    try:
+        answers = [bfs_reachable(g, u, v) for u, v in ((1, 5), (5, 1), (1, 10**6), (7, 7), (7, 1))]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answers == [True, False, False, True, False]
+    assert peak < 2**20
 
 
 def _validate_all_bags(g, t, vertices=None):

@@ -2,8 +2,8 @@ import pytest
 
 from twreach.decomp import validate_td
 from twreach.gen import (BENCH_FIELDS, BenchRecord, KTreeSpec, bench,
-                         bench_csv, bench_one, gen_ktree)
-from twreach.graph import bfs_reachable
+                         bench_csv, bench_one, elimination_td, gen_ktree, gen_path)
+from twreach.graph import DiGraph, bfs_reachable
 from twreach.sequences import LeafSeq
 from twreach.recursive import build_balanced
 import random
@@ -87,3 +87,27 @@ def test_bench_deterministic_apart_from_time():
     for f in BENCH_FIELDS:
         if f != "wall_time":
             assert getattr(a, f) == getattr(b, f)
+
+
+def test_gen_path_shape():
+    for n in (1, 2, 5, 40):
+        g, td = gen_path(n)
+        assert g.arcs == {(v, v + 1) for v in range(1, n)}
+        assert validate_td(g, td).ok
+        assert td.root == 1 and td.width() == min(1, n - 1)
+        assert td.depth() == max(n - 2, 0)  # rooted at one end
+    with pytest.raises(ValueError, match="at least 1"):
+        gen_path(0)
+
+
+def test_elimination_td_is_valid():
+    rng = random.Random(8)
+    graphs = [gen_path(30)[0], DiGraph(6, []), DiGraph(9, [(1, 2), (4, 4), (5, 6)])]
+    for _ in range(20):
+        n = rng.randint(1, 30)
+        graphs.append(DiGraph(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(n)]))
+    for g in graphs:
+        td = elimination_td(g)
+        assert validate_td(g, td).ok
+        assert sorted(td.bags) == list(range(1, g.n + 1))  # one bag per eliminated vertex
+    assert elimination_td(gen_path(30)[0]).width() == 1

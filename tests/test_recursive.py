@@ -6,7 +6,7 @@ import pytest
 
 from twreach import recursive, separator
 from twreach.decomp import TreeDecomp, binarize_balance, validate_td, write_td
-from twreach.gen import KTreeSpec, gen_ktree
+from twreach.gen import KTreeSpec, gen_ktree, gen_path
 from twreach.graph import DiGraph, component_containing, undirected_components, vset
 from twreach.recursive import (RDContext, RDNode, build_balanced,
                                build_hat_decomposition, hat_bag,
@@ -15,8 +15,7 @@ from twreach.separator import sep
 
 from test_separator import _instances
 
-PATH_G = DiGraph(4, [(1, 2), (2, 3), (3, 4)])
-PATH_T = TreeDecomp({1: (1, 2), 2: (2, 3), 3: (3, 4)}, [(1, 2), (2, 3)], root=1)
+PATH_G, PATH_T = gen_path(4)  # 1 -> 2 -> 3 -> 4, bags {1,2}, {2,3}, {3,4} from root 1
 
 
 def _path_ctx():

@@ -2,15 +2,14 @@ import random
 
 import pytest
 
-from twreach import recursive
+from twreach import recursive, separator
 from twreach.decomp import TreeDecomp, validate_td
-from twreach.gen import KTreeSpec, gen_ktree
-from twreach.graph import DiGraph, undirected_components, vertex_mask, vset
+from twreach.gen import KTreeSpec, elimination_td, gen_ktree, gen_path
+from twreach.graph import DiGraph, grow, undirected_components, vertex_mask, vset
 from twreach.recursive import build_balanced
 from twreach.separator import SeparatorResult, is_balanced_separator, sep
 
-PATH_G = DiGraph(4, [(1, 2), (2, 3), (3, 4)])
-PATH_T = TreeDecomp({1: (1, 2), 2: (2, 3), 3: (3, 4)}, [(1, 2), (2, 3)], root=1)
+PATH_G, PATH_T = gen_path(4)  # 1 -> 2 -> 3 -> 4, bags {1,2}, {2,3}, {3,4} from root 1
 
 
 def test_empty_target_trivially_separated():
@@ -126,31 +125,6 @@ def _assert_sep_matches_oracle(g, t, u):
     assert sep(g, t, u) == want, (sorted(t.bags), vset(u))
 
 
-def _elimination_td(g):
-    """Decomposition from a min-degree elimination order (ties by lowest id).
-
-    Bag i is the i-th eliminated vertex with its neighbours at that time; its
-    tree parent is the bag of the first of those neighbours eliminated after
-    it, or the next bag when it has none, so disconnected graphs give a tree.
-    """
-    adj = {v: set(g.und_adj[v]) for v in range(1, g.n + 1)}
-    order, bags = [], []
-    while adj:
-        v = min(adj, key=lambda x: (len(adj[x]), x))
-        nbrs = adj.pop(v)
-        for a in nbrs:
-            adj[a] |= nbrs
-            adj[a] -= {a, v}
-        order.append(v)
-        bags.append(nbrs | {v})
-    pos = {v: i for i, v in enumerate(order)}
-    edges = []
-    for i, v in enumerate(order[:-1]):
-        later = bags[i] - {v}
-        edges.append((i + 1, 1 + (min(pos[x] for x in later) if later else i + 1)))
-    return TreeDecomp({i + 1: b for i, b in enumerate(bags)}, edges)
-
-
 def _variant(t, rng):
     """t with padded bags, redundant subset leaves and randomly relabelled ids."""
     bags = {x: set(b) for x, b in t.bags.items()}
@@ -198,7 +172,7 @@ def _instances(rng):
         yield g, _variant(td, rng)
     for _ in range(200):
         g = _random_graph(rng)
-        td = _elimination_td(g)
+        td = elimination_td(g)
         yield g, td
         yield g, _variant(td, rng)
 
@@ -233,3 +207,86 @@ def test_sep_matches_exhaustive_scan_on_balancing_targets(monkeypatch):
     assert len(asked) > 500
     for g, t, u in asked:
         _assert_sep_matches_oracle(g, t, u)
+
+
+def _connected_targets(g, rng):
+    """Connected target sets that are not whole components: balls of a few
+    BFS layers, and components minus one vertex (connected or not)."""
+    for comp in undirected_components(g):
+        ball = [rng.choice(comp)]
+        for _ in range(rng.randint(0, 3)):
+            ball = vset([*ball, *(w for v in ball for w in g.und_adj[v])])
+        yield ball
+        if len(comp) > 1:
+            gone = rng.choice(comp)
+            yield [v for v in comp if v != gone]
+
+
+def test_sep_matches_exhaustive_scan_on_connected_targets():
+    rng, roots = random.Random(2026), random.Random(2027)
+    for g, t in _instances(rng):
+        rooted = TreeDecomp(t.bags, [tuple(e) for e in t.edges], root=roots.choice(sorted(t.bags)))
+        for u in _connected_targets(g, rng):
+            _assert_sep_matches_oracle(g, t, u)
+            _assert_sep_matches_oracle(g, rooted, u)
+
+
+class _ReadLog(dict):
+    """A bag table that logs the nodes whose bags are read."""
+
+    def __init__(self, bags):
+        super().__init__(bags)
+        self.read = set()
+
+    def __getitem__(self, node):
+        self.read.add(node)
+        return super().__getitem__(node)
+
+
+def test_sep_searches_no_bag_that_misses_connected_targets(monkeypatch):
+    # fact 3: the scan reads no bag outside subtree(r), r the top bag of a
+    # connected target set, and searches no bag that misses the targets
+    searched = []
+
+    def record(g, s, u, starts=None):
+        searched.append(s)
+        return is_balanced_separator(g, s, u, starts)
+
+    monkeypatch.setattr(separator, "is_balanced_separator", record)
+    rng, roots = random.Random(2028), random.Random(2029)
+    checked = 0
+    for g, t in _instances(rng):
+        rooted = TreeDecomp(t.bags, [tuple(e) for e in t.edges], root=roots.choice(sorted(t.bags)))
+        for u in list(_connected_targets(g, rng)) + undirected_components(g):
+            umask = vertex_mask(u)
+            if grow(g.und_mask, umask, umask & -umask) != umask:
+                continue
+            for tree in (t, rooted):
+                rooting = tree.rooting
+                r = rooting.order[min(rooting.top[v] for v in u)]
+                tree.bags = _ReadLog(tree.bags)
+                searched.clear()
+                sep(g, tree, u)
+                assert all(rooting.pre[r] <= rooting.pre[x] < rooting.end[r] for x in tree.bags.read)
+                assert all(set(s) & set(u) for s in searched), (vset(u), searched)
+                checked += len(searched)
+    assert checked > 1000
+
+
+def test_build_balanced_search_count_pinned():
+    # graph searches made while balancing the pinned k=3, n=256, seed-7
+    # instance: 347 before fact 3, 77 with it; `sep` is still called 119 times
+    calls = {"search": 0, "sep": 0}
+
+    def count(name, f):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return counted
+
+    g, td = gen_ktree(KTreeSpec(n=256, k=3, seed=7))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(separator, "is_balanced_separator", count("search", is_balanced_separator))
+        mp.setattr(recursive, "sep", count("sep", sep))
+        build_balanced(g, td)
+    assert calls == {"search": 77, "sep": 119}

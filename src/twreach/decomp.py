@@ -34,11 +34,13 @@ class ValidityReport:
 
 
 def _check_tree(ids: Iterable[int], edges: set[frozenset[int]], root: int | None
-                ) -> tuple[dict[int, list[int]], list[int], dict[int, int | None]]:
+                ) -> tuple[dict[int, list[int]], list[int], dict[int, int | None],
+                           dict[int, list[int]], dict[int, int]]:
     """Adjacency lists (descending id, so the walk's stack pops siblings in
-    ascending id), preorder and parent map of the tree that `edges` make on
-    `ids`, walked from `root` (the smallest id when None); TdFormatError
-    unless the edges form a spanning tree."""
+    ascending id), preorder, parents, children (ascending id, as popped) and
+    depths (edges from the root) of the tree that `edges` make on `ids`,
+    walked from `root` (the smallest id when None); TdFormatError unless the
+    edges form a spanning tree."""
     adj: dict[int, list[int]] = {i: [] for i in ids}
     try:
         for a, b in edges:
@@ -63,17 +65,24 @@ def _check_tree(ids: Iterable[int], edges: set[frozenset[int]], root: int | None
         lst.reverse()
     # with exactly N-1 edges, connected implies acyclic
     parent: dict[int, int | None] = {root: None}
+    children: dict[int | None, list[int]] = {None: []}  # None, the root's parent, takes the root
+    depth = {root: 0}
     order, stack = [], [root]
     while stack:
         x = stack.pop()
         order.append(x)
+        children[x] = []
+        children[parent[x]].append(x)
+        d = depth[x] + 1
         for y in adj[x]:
             if y not in parent:
                 parent[y] = x
+                depth[y] = d
                 stack.append(y)
     if len(order) != len(adj):
         raise TdFormatError("decomposition edges do not connect all nodes")
-    return adj, order, parent
+    del children[None]
+    return adj, order, parent, children, depth
 
 
 class Rooting(NamedTuple):
@@ -99,20 +108,15 @@ class Rooting(NamedTuple):
         return min(row[lo], row[hi - (1 << k)])
 
 
-class _Shape(NamedTuple):
-    """Each node's children in ascending id and its depth (edges from the root)."""
-    children: dict[int, list[int]]
-    depth: dict[int, int]
-
-
 class TreeDecomp:
     """Labeled tree of bags. Immutable after construction.
 
     `bags` maps node-id to a canonical VertexSet; `edges` is the tree edge set;
     `root` is optional and only required by depth-sensitive operations. The
     tree check walks it from the root (else from the smallest id) and keeps
-    the preorder and the parent map. An `augment` copy shares `_shape` and the
-    bag masks, adds the vertex mask `_add` and builds its `bags` on first read.
+    what that walk records: the preorder, each node's parent, its children in
+    ascending id and its depth. An `augment` copy shares these and the bag
+    masks, adds the vertex mask `_add` and builds its `bags` on first read.
     """
 
     _add: int | None = None  # an augment copy's added vertices, as a mask
@@ -122,7 +126,8 @@ class TreeDecomp:
         # vset written out, one call fewer per bag
         self.bags: dict[int, VertexSet] = {int(i): tuple(sorted(set(b))) for i, b in bags.items()}
         self.edges: set[frozenset[int]] = {frozenset((int(a), int(b))) for a, b in edges}
-        self._adj, self._order, self._parent = _check_tree(self.bags, self.edges, root)
+        (self._adj, self._order, self._parent, self._children,
+         self._depth) = _check_tree(self.bags, self.edges, root)
         self.root = root
 
     def node_ids(self) -> list[int]:
@@ -153,26 +158,10 @@ class TreeDecomp:
         return max((m | add).bit_count() for m in self._bag_masks.values()) - 1
 
     @cached_property
-    def _shape(self) -> _Shape:
-        """One pass over the preorder, which lists siblings in ascending id."""
-        order, parent = self._order, self._parent
-        children: dict[int, list[int]] = {x: [] for x in order}
-        depth = {order[0]: 0}
-        for x in order[1:]:
-            p = parent[x]
-            children[p].append(x)
-            depth[x] = depth[p] + 1
-        return _Shape(children, depth)
-
-    def _require_root(self) -> None:
-        if self.root is None:
-            raise ValueError("operation requires a rooted decomposition")
-
-    @cached_property
     def rooting(self) -> Rooting:
         """Preorder intervals, first bags and range minima over the shape,
         computed once per bag set."""
-        order, children = self._order, self._shape.children
+        order, children = self._order, self._children
         pre = {x: i for i, x in enumerate(order)}
         end: dict[int, int] = {}
         for x in reversed(order):
@@ -188,18 +177,11 @@ class TreeDecomp:
             sparse.append(list(map(min, prev, prev[half:])))
         return Rooting(order, pre, end, children, top, sparse)
 
-    def parent_map(self) -> dict[int, int | None]:
-        self._require_root()
-        return dict(self._parent)
-
-    def children_map(self) -> dict[int, list[int]]:
-        self._require_root()
-        return {x: kids[:] for x, kids in self._shape.children.items()}
-
     def depth(self) -> int:
         """Longest root-to-leaf edge count. Requires a root."""
-        self._require_root()
-        return max(self._shape.depth.values())
+        if self.root is None:
+            raise ValueError("operation requires a rooted decomposition")
+        return max(self._depth.values())
 
     @cached_property
     def scope_masks(self) -> dict[int, int]:
@@ -231,20 +213,19 @@ class BalancedTD(TreeDecomp):
     """Rooted binary tree decomposition, children in ascending id order.
 
     `ordered_children` lists each node's children by ascending id, as the
-    preorder visits them; the leaf index is the list of leaves in that
-    depth-first order. Node ids alone fix the order, so the .td text that
-    `write_td` emits rebuilds the same tree. The shape is made once, on
-    construction.
+    preorder visits them. Node ids alone fix the order, so the .td text that
+    `write_td` emits rebuilds the same tree. The shape is the tree check's
+    record, made once, on construction.
     """
 
     def __init__(self, bags, edges, root):
         super().__init__(bags, edges, root=root)
         if root is None:
             raise ValueError("balanced decomposition requires a root")
-        for x, kids in self._shape.children.items():
+        for x, kids in self._children.items():
             if len(kids) > 2:
                 raise ValueError(f"node {x} has {len(kids)} children; binary tree required")
-        self.ordered_children = self._shape.children
+        self.ordered_children = self._children
 
     def augment(self, s: Iterable[int]) -> "BalancedTD":
         """`TreeDecomp.augment`, after building the walk plan the copy shares."""
@@ -257,7 +238,7 @@ class BalancedTD(TreeDecomp):
         (`LeafSeq.parts`) at budgets 1 and 2, which serves every c > 1, as
         (node, first leaf, children), and each node's first leaf."""
         from .sequences import LeafSeq  # sequences imports this module
-        parts, children = LeafSeq(self, self.root, 1).parts, self.ordered_children
+        parts, children = LeafSeq(self, self.root, 1).parts, self._children
         plan, first = {}, {}
         for x in reversed(self._order):  # children before their parents
             first[x] = x
@@ -273,29 +254,9 @@ class BalancedTD(TreeDecomp):
     def children(self, node: int) -> list[int]:
         return self.ordered_children[node]
 
-    def is_leaf(self, node: int) -> bool:
-        return not self.ordered_children[node]
-
-    @cached_property
-    def _height(self) -> dict[int, int]:
-        height: dict[int, int] = {}
-        for x in reversed(self.preorder):
-            height[x] = max((height[y] + 1 for y in self.children(x)), default=0)
-        return height
-
-    def height(self, node: int) -> int:
-        return self._height[node]
-
-    def depth_of(self, node: int) -> int:
-        return self._shape.depth[node]
-
     @property
     def preorder(self) -> list[int]:
         return self._order
-
-    @cached_property
-    def leaves(self) -> list[int]:
-        return [x for x in self.preorder if self.is_leaf(x)]
 
 
 def validate_td(g: DiGraph, t: TreeDecomp, vertices: Iterable[int] | None = None) -> ValidityReport:

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from .decomp import TreeDecomp
-from .graph import DiGraph
+from .graph import DiGraph, members
 from .engine import reach
 
 BENCH_FIELDS = ("n", "k", "width_input", "width_balanced", "depth_balanced",
@@ -85,7 +85,7 @@ def elimination_td(g: DiGraph) -> TreeDecomp:
     tree parent is the bag of the first of those neighbours eliminated after
     it, or the next bag when it has none, so disconnected graphs give a tree.
     """
-    adj = {v: set(g.und_adj[v]) for v in range(1, g.n + 1)}
+    adj = {v: set(members(g.und_mask[v])) for v in range(1, g.n + 1)}
     order, bags = [], []
     while adj:
         v = min(adj, key=lambda x: (len(adj[x]), x))

@@ -66,19 +66,14 @@ class DiGraph:
         return out
 
     @cached_property
-    def und_adj(self) -> list[list[int]]:
-        """Undirected adjacency lists (symmetric closure, self-loops dropped)."""
-        adj: list[set[int]] = [set() for _ in range(self.n + 1)]
-        for u, v in self.arcs:
-            if u != v:
-                adj[u].add(v)
-                adj[v].add(u)
-        return [sorted(s) for s in adj]
-
-    @cached_property
     def und_mask(self) -> list[int]:
         """Undirected neighbour masks: bit y of und_mask[x] is set iff x and y are adjacent."""
-        return [vertex_mask(ys) for ys in self.und_adj]
+        out = [0] * (self.n + 1)
+        for u, v in self.arcs:
+            if u != v:
+                out[u] |= 1 << v
+                out[v] |= 1 << u
+        return out
 
     @cached_property
     def vertices_mask(self) -> int:
@@ -205,7 +200,8 @@ def text_lines(text: str | bytes, error: type[ValueError]) -> list[str]:
 
 
 def parse_graph(text: str | bytes) -> DiGraph:
-    """Parse the .gr directed-graph format (header "p dgr <n> <m>", arc lines)."""
+    """Parse the .gr directed-graph format (header "p dgr <n> <m>", then m
+    arc lines; a repeated arc counts as a line)."""
     n = None
     arcs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text_lines(text, GraphFormatError), start=1):
@@ -219,12 +215,12 @@ def parse_graph(text: str | bytes) -> DiGraph:
             if len(parts) != 4 or parts[1] != "dgr":
                 raise GraphFormatError("malformed header, expected 'p dgr <n> <m>'", lineno)
             try:
-                n = int(parts[2])
-                int(parts[3])
+                n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise GraphFormatError("non-integer token in header", lineno) from None
             if n < 0:
                 raise GraphFormatError("vertex count must be non-negative", lineno)
+            header_line = lineno
             continue
         if n is None:
             raise GraphFormatError("arc line before header", lineno)
@@ -240,6 +236,8 @@ def parse_graph(text: str | bytes) -> DiGraph:
         arcs.append((u, v))
     if n is None:
         raise GraphFormatError("missing header")
+    if len(arcs) != m:
+        raise GraphFormatError(f"header declares {m} arcs, found {len(arcs)}", header_line)
     return DiGraph(n, arcs)
 
 

@@ -120,7 +120,7 @@ class LeafSeq:
         cache = self._len_cache
         if (t, d) in cache:
             return cache[t, d]
-        if self.tree.is_leaf(t):
+        if not self.tree.children(t):
             cache[t, d] = d
             return d
         # fill the missing budgets d, d/2, ... of t smallest first, so that each
@@ -142,7 +142,7 @@ class LeafSeq:
         t, d = self.t, self.d
         if not 1 <= r <= self.block_length(t, d):
             raise ValueError(f"index {r} out of range")
-        while not self.tree.is_leaf(t):
+        while self.tree.children(t):
             for t, d in self.parts(t, d):  # descend into the part that holds r
                 size = self.block_length(t, d)
                 if r <= size:
@@ -155,7 +155,7 @@ class LeafSeq:
         stack = [(self.t, self.d)]
         while stack:
             t, d = stack.pop()
-            if self.tree.is_leaf(t):
+            if not self.tree.children(t):
                 yield from repeat(t, d)
             else:
                 stack.extend(reversed(self.parts(t, d)))

@@ -68,8 +68,8 @@ def test_constructor_errors(build, error, message):
 
 
 def test_parent_children_maps():
-    assert PATH_T.parent_map() == {1: None, 2: 1, 3: 2}
-    assert PATH_T.children_map() == {1: [2], 2: [3], 3: []}
+    assert PATH_T.rooting.children == {1: [2], 2: [3], 3: []}
+    assert PATH_T.depth() == 2
     with pytest.raises(ValueError, match="rooted"):
         TreeDecomp({1: (1,)}, []).depth()
 
@@ -271,7 +271,7 @@ def _ref_depth(t):
 
 
 def _ref_balanced_shape(t):
-    """(parent, children, depth_of, height, preorder, leaves) of a BalancedTD."""
+    """(parent, children, depth_of, height, preorder) of a BalancedTD."""
     parent, kids_of, depth_of, order = {t.root: None}, {}, {t.root: 0}, []
     stack = [t.root]
     while stack:
@@ -288,7 +288,7 @@ def _ref_balanced_shape(t):
         p = parent[x]
         if p is not None and height[x] >= height[p]:
             height[p] = height[x] + 1
-    return parent, kids_of, depth_of, height, order, [x for x in order if not kids_of[x]]
+    return parent, kids_of, depth_of, height, order
 
 
 def _ref_write_td(t, kids):
@@ -336,13 +336,10 @@ def test_tree_shape_matches_reference_walks():
             t = TreeDecomp(bags, edges, root=root)
             assert all(t.neighbors(x) == sorted(adj[x]) for x in ids)
             if root is None:
-                for method in (t.parent_map, t.children_map, t.depth):
-                    with pytest.raises(ValueError, match="rooted"):
-                        method()
+                with pytest.raises(ValueError, match="rooted"):
+                    t.depth()
                 assert write_td(t) == _ref_write_td(t, None)
             else:
-                assert t.parent_map() == _ref_parent_map(t)
-                assert t.children_map() == _ref_children_map(t)
                 assert t.depth() == _ref_depth(t)
                 assert write_td(t) == _ref_write_td(t, _ref_children_map(t))
                 assert t.rooting.children == _ref_children_map(t)
@@ -351,7 +348,8 @@ def test_tree_shape_matches_reference_walks():
             # augment keeps the shape and recomputes what depends on the bags
             aug = t.augment({9})
             assert aug.rooting == TreeDecomp(aug.bags, edges, root=root).rooting
-            assert aug._shape is t._shape and aug.bags != t.bags
+            assert aug._children is t._children and aug._depth is t._depth
+            assert aug.bags != t.bags
 
 
 def test_balanced_shape_matches_reference_walk():
@@ -360,16 +358,13 @@ def test_balanced_shape_matches_reference_walk():
         ids, bags, edges = _random_tree(rng, rng.randint(1, 30), arity=2)
         root = ids[0]
         b = BalancedTD(bags, edges, root)
-        parent, kids, depth_of, height, preorder, leaves = _ref_balanced_shape(b)
-        assert b.parent_map() == parent and b.ordered_children == kids
-        assert b.preorder == preorder and b.leaves == leaves
-        assert all(b.children(x) == kids[x] and b.parent(x) == parent[x]
-                   and b.depth_of(x) == depth_of[x] and b.height(x) == height[x]
-                   for x in bags)
+        parent, kids, depth_of, height, preorder = _ref_balanced_shape(b)
+        assert b.ordered_children == kids and b.preorder == preorder
+        assert all(b.children(x) == kids[x] and b.parent(x) == parent[x] for x in bags)
         assert b.depth() == height[root] == max(depth_of.values())
         assert write_td(b) == _ref_write_td(b, kids)
         aug = b.augment({9})
-        assert aug.depth() == b.depth() and all(aug.depth_of(x) == depth_of[x] for x in bags)
+        assert aug.depth() == b.depth()
 
 
 def test_augment_copies_share_the_base_tables():
@@ -379,10 +374,10 @@ def test_augment_copies_share_the_base_tables():
     g, td = gen_ktree(KTreeSpec(n=40, k=2, seed=3))
     for base in (build_balanced(g, td), TreeDecomp(td.bags, [tuple(e) for e in td.edges], 1)):
         assert base.width() >= 0 and "_bag_masks" not in vars(base)
-        base.depth()  # the shape, which a balanced tree builds on construction
         once = base.augment({1, 40})
         twice = once.augment({2})
-        shared = ("_bag_masks", "_shape") + (("walk_plan",) if isinstance(base, BalancedTD) else ())
+        shared = ("_bag_masks", "_children", "_depth")
+        shared += ("walk_plan",) if isinstance(base, BalancedTD) else ()
         for aug in (once, twice):
             assert all(vars(aug)[key] is vars(base)[key] for key in shared)
             for value in vars(aug).values():
@@ -461,7 +456,7 @@ def test_write_td_preorder_renumbering():
     t = TreeDecomp({7: (1,), 9: (2,), 3: (3,)}, [(7, 9), (7, 3)], root=7)
     again = parse_td(write_td(t, n_vertices=3))
     assert again.root == 1
-    assert again.children_map()[1] == [2, 3]
+    assert again.rooting.children[1] == [2, 3]
     assert sorted(again.bags.values()) == [(1,), (2,), (3,)]
 
 
@@ -475,16 +470,24 @@ def test_augment():
 
 def test_balanced_td_shape():
     t = BalancedTD({1: (), 2: (), 3: (), 4: ()}, [(1, 2), (1, 3), (2, 4)], root=1)
-    assert t.children(1) == [2, 3]
-    assert t.leaves == [4, 3]
+    assert [t.children(x) for x in (1, 2, 3, 4)] == [[2, 3], [4], [], []]
     assert t.depth() == 2
-    assert t.height(2) == 1 and t.depth_of(4) == 2
-    assert t.is_leaf(3) and not t.is_leaf(1)
     assert t.preorder == [1, 2, 4, 3]
-    parents = t.parent_map()
-    assert parents == TreeDecomp.parent_map(t) == {1: None, 2: 1, 3: 1, 4: 2}
-    parents[4] = 3  # a copy: the tree keeps its own
-    assert t.parent(4) == 2 and t.parent_map()[4] == 2
+    assert [t.parent(x) for x in (1, 2, 3, 4)] == [None, 1, 1, 2]
+
+
+def test_deep_path_decomposition():
+    # 20,000 bags in a line, far past the interpreter's recursion limit
+    g, td = gen_path(20_001)
+    assert len(td.bags) == 20_000 and td.depth() == 19_999
+    rooting = td.rooting
+    assert rooting.order == list(range(1, 20_001))
+    assert rooting.end[1] == rooting.end[19_999] == 20_000
+    assert rooting.top[1] == 0 and rooting.top[20_001] == 19_999
+    assert rooting.first_id(5, 20_000) == 6
+    again = parse_td(write_td(td))
+    assert (again.bags, again.edges, again.root) == (td.bags, td.edges, 1)
+    assert again.depth() == 19_999 and again.rooting == rooting
 
 
 def test_balanced_td_rejects_ternary():
@@ -500,7 +503,7 @@ def test_balanced_tree_survives_td_round_trip():
         b = build_balanced(g, td)
         t = parse_td(write_td(b))
         again = BalancedTD(t.bags, [tuple(e) for e in t.edges], t.root)
-        assert again.preorder == b.preorder and again.leaves == b.leaves
+        assert again.preorder == b.preorder
         assert again.ordered_children == b.ordered_children
 
 
@@ -517,11 +520,9 @@ def test_balanced_augment_shares_shape():
     assert aug.bags == fresh.bags
     assert aug.rooting == fresh.rooting != rooting_before
     rebuilt = BalancedTD(fresh.bags, edges, tree.root)
-    assert aug.preorder == rebuilt.preorder and aug.leaves == rebuilt.leaves
-    assert aug.parent_map() == rebuilt.parent_map()
+    assert aug.preorder == rebuilt.preorder and aug.depth() == rebuilt.depth()
     for x in tree.bags:
-        assert aug.children(x) == rebuilt.children(x)
-        assert (aug.height(x), aug.depth_of(x)) == (rebuilt.height(x), rebuilt.depth_of(x))
+        assert aug.children(x) == rebuilt.children(x) and aug.parent(x) == rebuilt.parent(x)
 
 
 def test_binarize_requires_root():

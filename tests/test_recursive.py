@@ -13,7 +13,7 @@ from twreach.recursive import (RDContext, RDNode, build_balanced,
                                materialize_rd, rd_children)
 from twreach.separator import sep
 
-from test_separator import _instances
+from test_separator import _instances, _und_adj
 
 PATH_G, PATH_T = gen_path(4)  # 1 -> 2 -> 3 -> 4, bags {1,2}, {2,3}, {3,4} from root 1
 
@@ -244,7 +244,7 @@ def _rd_children_by_lists(ctx, node):
     comp = ctx.component_of(node)
     zp = set(node.z) | set(ctx.sep_of(node.z).separator) | set(ctx.sep_of(comp).separator)
     remaining = set(comp) - zp
-    adj = ctx.g.und_adj
+    adj = _und_adj(ctx.g)
     children, seen = [], set()
     for s in sorted(remaining):
         if s in seen:

@@ -209,13 +209,24 @@ def test_sep_matches_exhaustive_scan_on_balancing_targets(monkeypatch):
         _assert_sep_matches_oracle(g, t, u)
 
 
+def _und_adj(g):
+    """Undirected adjacency sets, built from the arcs; a self-loop's vertex
+    is its own neighbour, which no search is changed by."""
+    adj = {v: set() for v in range(1, g.n + 1)}
+    for u, v in g.arcs:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def _connected_targets(g, rng):
     """Connected target sets that are not whole components: balls of a few
     BFS layers, and components minus one vertex (connected or not)."""
+    adj = _und_adj(g)
     for comp in undirected_components(g):
         ball = [rng.choice(comp)]
         for _ in range(rng.randint(0, 3)):
-            ball = vset([*ball, *(w for v in ball for w in g.und_adj[v])])
+            ball = vset([*ball, *(w for v in ball for w in adj[v])])
         yield ball
         if len(comp) > 1:
             gone = rng.choice(comp)

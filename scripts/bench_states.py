@@ -16,7 +16,11 @@ set-up of perfbench's ktree-cold and small-mixed) and one `build_balanced`.
 Each call follows a full garbage collection, so that no call pays for a
 collection set off by the other side's garbage. There are 15 rounds at every
 n, alternating parent and change call by call, parent first on even rounds.
-One more call per side runs under tracemalloc for the heap peak, and one
+Two more calls per side run under tracemalloc: `reach_balanced` on the
+augmented tree alone (`heap_peak_mib`, which leaves out what `augment` built
+for the walk), and a whole query, `augment({u, v})` of the balanced tree
+followed by `reach_balanced` (`query_heap_mib`; the base's walk plan is built
+beforehand, as it is for every query after a graph's first). One
 `_Runner.run_fast` on a fresh runner gives the memo, step-cache and state
 entries.
 
@@ -142,10 +146,11 @@ def entries(tw, g, tree, u: int) -> dict:
             "state_entries": len(states)}
 
 
-def heap_peak_mib(eng, g, tree, u: int, v: int) -> float:
+def heap_peak_mib(call) -> float:
+    """tracemalloc peak of one call, in MiB."""
     tracemalloc.start()
     try:
-        eng.reach_balanced(g, tree, u, v, report=True)
+        call()
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -164,7 +169,9 @@ FIELDS = {
     "balance_s": "median seconds of one recursive.build_balanced(g, td)",
     "balance_q1_s": "first quartile", "balance_q3_s": "third quartile",
     "runs": "timed calls per side and kind, parent and change alternating call by call",
-    "heap_peak_mib": "tracemalloc peak over one more reach_balanced call",
+    "heap_peak_mib": "tracemalloc peak over one more reach_balanced call on the augmented tree",
+    "query_heap_mib": "tracemalloc peak over one more augment({u, v}) of the balanced tree "
+                      "followed by reach_balanced, the tree's walk plan built beforehand",
     "memo_entries": "len(_Runner.memo) after one run_fast on a fresh runner",
     "step_entries": "len(_Runner._step_cache) after that run",
     "state_entries": "distinct states held after that run: len(_Runner.masks), "
@@ -226,7 +233,8 @@ def main(argv: list[str]) -> int:
             for kind, kind_times in times[side].items():
                 row.update(quartiles(kind_times, kind))
             sha1 = hashlib.sha1(tw["decomp"].write_td(base).encode()).hexdigest()[:12]
-            row.update({"heap_peak_mib": round(heap_peak_mib(tw["engine"], g, tree, u, v), 3),
+            row.update({"heap_peak_mib": round(heap_peak_mib(calls[side]["reach_balanced_"]), 3),
+                        "query_heap_mib": round(heap_peak_mib(calls[side]["augment_reach_"]), 3),
                         **entries(tw, g, tree, u), "balanced_sha1": sha1,
                         "reachable": rep.reachable, "iterations": rep.iterations,
                         "relax_work": rep.relax_work, "peak_bits": rep.peak_bits})

@@ -35,12 +35,12 @@ class ValidityReport:
 
 def _check_tree(ids: Iterable[int], edges: set[frozenset[int]], root: int | None
                 ) -> tuple[dict[int, list[int]], list[int], dict[int, int | None],
-                           dict[int, list[int]], dict[int, int]]:
+                           dict[int, list[int]], int]:
     """Adjacency lists (descending id, so the walk's stack pops siblings in
     ascending id), preorder, parents, children (ascending id, as popped) and
-    depths (edges from the root) of the tree that `edges` make on `ids`,
-    walked from `root` (the smallest id when None); TdFormatError unless the
-    edges form a spanning tree."""
+    height (the most edges from the root to a node) of the tree that `edges`
+    make on `ids`, walked from `root` (the smallest id when None);
+    TdFormatError unless the edges form a spanning tree."""
     adj: dict[int, list[int]] = {i: [] for i in ids}
     try:
         for a, b in edges:
@@ -66,23 +66,25 @@ def _check_tree(ids: Iterable[int], edges: set[frozenset[int]], root: int | None
     # with exactly N-1 edges, connected implies acyclic
     parent: dict[int, int | None] = {root: None}
     children: dict[int | None, list[int]] = {None: []}  # None, the root's parent, takes the root
-    depth = {root: 0}
-    order, stack = [], [root]
+    height, order, stack, depths = 0, [], [root], [0]  # depths[i]: stack[i]'s depth
     while stack:
         x = stack.pop()
         order.append(x)
         children[x] = []
         children[parent[x]].append(x)
-        d = depth[x] + 1
+        d = depths.pop()
+        if d > height:
+            height = d
+        d += 1
         for y in adj[x]:
             if y not in parent:
                 parent[y] = x
-                depth[y] = d
                 stack.append(y)
+                depths.append(d)
     if len(order) != len(adj):
         raise TdFormatError("decomposition edges do not connect all nodes")
     del children[None]
-    return adj, order, parent, children, depth
+    return adj, order, parent, children, height
 
 
 class Rooting(NamedTuple):
@@ -115,7 +117,7 @@ class TreeDecomp:
     `root` is optional and only required by depth-sensitive operations. The
     tree check walks it from the root (else from the smallest id) and keeps
     what that walk records: the preorder, each node's parent, its children in
-    ascending id and its depth. An `augment` copy shares these and the bag
+    ascending id and the height. An `augment` copy shares these and the bag
     masks, adds the vertex mask `_add` and builds its `bags` on first read.
     """
 
@@ -127,7 +129,7 @@ class TreeDecomp:
         self.bags: dict[int, VertexSet] = {int(i): tuple(sorted(set(b))) for i, b in bags.items()}
         self.edges: set[frozenset[int]] = {frozenset((int(a), int(b))) for a, b in edges}
         (self._adj, self._order, self._parent, self._children,
-         self._depth) = _check_tree(self.bags, self.edges, root)
+         self._height) = _check_tree(self.bags, self.edges, root)
         self.root = root
 
     def node_ids(self) -> list[int]:
@@ -181,28 +183,17 @@ class TreeDecomp:
         """Longest root-to-leaf edge count. Requires a root."""
         if self.root is None:
             raise ValueError("operation requires a rooted decomposition")
-        return max(self._depth.values())
-
-    @cached_property
-    def scope_masks(self) -> dict[int, int]:
-        """Vertex mask of the bags on each node's path from the root, in one
-        preorder pass, parents first."""
-        parent, own, add, scope = self._parent, self._bag_masks, self._add or 0, {}
-        for x in self._order:  # the root's parent, None, has no scope but `_add`
-            scope[x] = own[x] | scope.get(parent[x], add)
-        return scope
+        return self._height
 
     def augment(self, s: Iterable[int]) -> "TreeDecomp":
         """A copy with every bag replaced by bag union s (still valid): it shares
-        the shape and the bag masks, adds s to `_add` and to its scope masks,
-        and builds no bag until read."""
-        scope = self.scope_masks  # also builds the bag masks the copy shares
-        add = vertex_mask(s)
+        the shape and the bag masks, adds s to `_add` and builds no bag until
+        read."""
+        self._bag_masks  # built here, so that the copy shares them
         out = copy.copy(self)
         for key in ("bags", "rooting"):  # these depend on the added vertices
             out.__dict__.pop(key, None)
-        out._add = (self._add or 0) | add
-        out.scope_masks = {x: m | add for x, m in scope.items()}
+        out._add = (self._add or 0) | vertex_mask(s)
         return out
 
     def __repr__(self):
@@ -233,12 +224,16 @@ class BalancedTD(TreeDecomp):
         return super().augment(s)
 
     @cached_property
-    def walk_plan(self) -> tuple[dict[int, tuple[list, list]], dict[int, int]]:
+    def walk_plan(self) -> tuple[dict[int, tuple[list, list]], dict[int, int], dict[int, int]]:
         """The walk's plan, built once per base tree: each inner node's parts
         (`LeafSeq.parts`) at budgets 1 and 2, which serves every c > 1, as
-        (node, first leaf, children), and each node's first leaf."""
+        (node, first leaf, children); each node's first leaf; and each leaf's
+        scope, the vertex mask of the bags on its root path, without `_add`."""
         from .sequences import LeafSeq  # sequences imports this module
         parts, children = LeafSeq(self, self.root, 1).parts, self._children
+        scope, own, parent = {}, self._bag_masks, self._parent
+        for x in self._order:  # parents first; the root's parent, None, has none
+            scope[x] = own[x] | scope.get(parent[x], 0)
         plan, first = {}, {}
         for x in reversed(self._order):  # children before their parents
             first[x] = x
@@ -246,7 +241,7 @@ class BalancedTD(TreeDecomp):
                 one = [(sub, first[sub], children[sub]) for sub, _ in parts(x, 1)]
                 first[x] = one[0][1]  # a block at any c begins with the block at 1
                 plan[x] = one, [(sub, first[sub], children[sub]) for sub, _ in parts(x, 2)]
-        return plan, first
+        return plan, first, {x: m for x, m in scope.items() if not children[x]}
 
     def parent(self, node: int) -> int | None:
         return self._parent[node]

@@ -18,9 +18,9 @@ and runs leaf blocks inline. States are indices, each distinct mask interned
 once with its popcount and, on its first step-cache miss, its successor
 closure. The walk also returns each block's length, so a run makes no
 separate pass over the schedule. A query on an `augment` copy rebuilds
-nothing its base tree knows: it reads the base's plan, the scope masks (each
-node's root-path bags as one vertex mask) that `augment` carries, and the
-root bag as the root's scope mask, and builds none of the copy's bags. The
+nothing its base tree knows: its one per-leaf table is the plan's leaf
+scopes (root-path bags as vertex masks) with the copy's vertices added,
+it reads the root's bag mask, and it builds none of the copy's bags. The
 literal iteration-by-iteration walk ("loop") is kept as the reference the
 tests compare it with: both give bit-identical results and accounting.
 """
@@ -109,8 +109,9 @@ class _Runner:
     def __init__(self, g: DiGraph, tree: BalancedTD):
         self.g = g
         self.tree = tree
-        self.scope_mask = scope = tree.scope_masks  # carried through augment
-        self.scope_size = {x: m.bit_count() for x, m in scope.items()}
+        add = tree._add or 0  # each leaf's scope: the plan's, plus an augment copy's vertices
+        self.scope_mask = scope = {f: m | add for f, m in tree.walk_plan[2].items()}
+        self.scope_size = {f: m.bit_count() for f, m in scope.items()}
         # state i is the vertex mask masks[i], of popcount pops[i]; closures[i]
         # is its successor closure once a step from it has missed the cache
         self.masks: list[int] = []
@@ -184,7 +185,7 @@ class _Runner:
         pops = self.pops
         step = self.step
         cache = self._step_cache
-        plans, first = self.tree.walk_plan
+        plans, first, _ = self.tree.walk_plan
         plans = {**plans, None: ([(t, first[t], self.tree.ordered_children[t])],) * 2}
         memo = self.memo = {}
 
@@ -250,7 +251,7 @@ def reach_balanced(g: DiGraph, tree: BalancedTD, u: int, v: int,
     Requires u and v in the root bag (callers augment first). Returns the
     reachability boolean, or the full ReachReport when report=True.
     """
-    root = tree.scope_masks[tree.root]  # the root's scope is its bag
+    root = tree._bag_masks[tree.root] | (tree._add or 0)  # the root bag, built or not
     if u < 1 or v < 1 or not (root >> u & 1 and root >> v & 1):
         raise ValueError("source and target must appear in the root bag")
     n = g.n

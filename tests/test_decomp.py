@@ -1,4 +1,3 @@
-import copy
 import math
 import random
 import tracemalloc
@@ -348,7 +347,7 @@ def test_tree_shape_matches_reference_walks():
             # augment keeps the shape and recomputes what depends on the bags
             aug = t.augment({9})
             assert aug.rooting == TreeDecomp(aug.bags, edges, root=root).rooting
-            assert aug._children is t._children and aug._depth is t._depth
+            assert aug._children is t._children and aug._height == t._height
             assert aug.bags != t.bags
 
 
@@ -376,7 +375,7 @@ def test_augment_copies_share_the_base_tables():
         assert base.width() >= 0 and "_bag_masks" not in vars(base)
         once = base.augment({1, 40})
         twice = once.augment({2})
-        shared = ("_bag_masks", "_children", "_depth")
+        shared = ("_bag_masks", "_children", "_height")
         shared += ("walk_plan",) if isinstance(base, BalancedTD) else ()
         for aug in (once, twice):
             assert all(vars(aug)[key] is vars(base)[key] for key in shared)
@@ -384,9 +383,21 @@ def test_augment_copies_share_the_base_tables():
                 assert not any(isinstance(v, TreeDecomp)
                                for v in (value if isinstance(value, tuple) else (value,)))
         assert twice.bags == {x: tuple(sorted({1, 2, 40}.union(b))) for x, b in base.bags.items()}
-        again = copy.copy(twice)
-        del again.scope_masks  # the generic pass, over the shared masks and `_add`
-        assert again.scope_masks == twice.scope_masks
+
+
+def test_augment_of_a_planned_base_allocates_no_table():
+    # a copy is the shared tables plus `_add`: at n=1024, with the base's
+    # plan and bag masks built, it allocates no per-node table
+    g, td = gen_ktree(KTreeSpec(n=1024, k=3, seed=7))
+    base = build_balanced(g, td)
+    base.augment({1, 2})
+    tracemalloc.start()
+    try:
+        aug = base.augment({3, 1024})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(vars(aug)) - set(vars(base)) == {"_add"} and peak < 16 * 2**10
 
 
 def test_parse_td_basic():

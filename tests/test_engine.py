@@ -7,7 +7,7 @@ import random
 import pytest
 
 from twreach import engine
-from twreach.decomp import BalancedTD, TreeDecomp, write_td
+from twreach.decomp import BalancedTD, TreeDecomp, validate_td, write_td
 from twreach.engine import (AncestorOrder, ReachReport, _Runner, ancestor_vertices,
                             gad_view, reach, reach_balanced)
 from twreach.gen import KTreeSpec, elimination_td, gen_ktree, gen_path
@@ -116,10 +116,13 @@ def test_fast_walk_length_and_scopes_match_reference():
         g, tree = _random_walk_instance(rng)
         single_child_seen |= any(len(tree.children(x)) == 1 for x in tree.bags)
         runner = _Runner(g, tree)
+        leaves = {x for x in tree.bags if not tree.children(x)}
+        assert set(runner.scope_mask) == set(runner.scope_size) == leaves
+        for f in leaves:
+            scope = ancestor_vertices(tree, f).vertices
+            assert runner.scope_mask[f] == sum(1 << v for v in scope)
+            assert runner.scope_size[f] == len(scope)
         for t in tree.node_ids():
-            scope = ancestor_vertices(tree, t).vertices
-            assert runner.scope_mask[t] == sum(1 << v for v in scope)
-            assert runner.scope_size[t] == len(scope)
             for d in (1, 2, 4, 8):
                 initial = sum(1 << v for v in rng.sample(range(1, g.n + 1), rng.randint(1, min(3, g.n))))
                 fast = runner.run_fast(t, d, initial)
@@ -234,6 +237,15 @@ def test_reach_matches_bfs_off_the_ktree_corpus():
     assert any(len({x for arc in g.arcs for x in arc}) < g.n for g, *_ in cases)  # isolated
     for g, td, u, v in cases:
         assert reach(g, td, u, v)[0] == bfs_reachable(g, u, v), (g, u, v)
+
+
+def test_reach_on_redundant_bags():
+    # 50,000 copies of the bag {1, 2, 3} on a path, rooted at bag 1
+    g = DiGraph(3, [(1, 2), (2, 3)])
+    td = TreeDecomp(dict.fromkeys(range(1, 50_001), (1, 2, 3)),
+                    [(i, i + 1) for i in range(1, 50_000)], root=1)
+    assert validate_td(g, td).ok and td.depth() == 49_999
+    assert reach(g, td, 1, 3)[0] and not reach(g, td, 3, 1)[0]
 
 
 def test_reach_self():
@@ -446,35 +458,42 @@ def test_walk_closes_each_state_once(n):
         assert runner.closures[i] == want
 
 
-def test_augment_carries_scope_masks():
-    # augment gives every node the base's scope mask with s added: the same
-    # mask as the root-path bags of the augmented tree, whether or not the
-    # base had computed its masks, and again on an augmented tree
+def test_runner_scopes_are_the_leaves_root_paths():
+    # the plan holds each leaf's root-path mask without added vertices, and
+    # the runner's tables hold the leaves only: each mask is the root-path
+    # bags of the (augmented) tree. This holds with the plan built on the
+    # base before the first augment or on a copy after it, added vertices
+    # inside or outside the covered range, and on a copy of a copy
     rng = random.Random(21)
     instances = [_random_walk_instance(rng) for _ in range(60)]
     for seed in range(6):
         g, td = gen_ktree(KTreeSpec(n=20 + 10 * seed, k=1 + seed % 3, seed=seed))
         instances.append((g, build_balanced(g, td)))
 
-    def scope(tree, x):
-        return vertex_mask(ancestor_vertices(tree, x).vertices)
+    def scopes(tree):
+        return {x: vertex_mask(ancestor_vertices(tree, x).vertices)
+                for x in tree.bags if not tree.children(x)}
 
     for g, base in instances:
         covered = sorted({v for b in base.bags.values() for v in b})
         top = max(covered, default=0)
         sets = [set(), set(rng.sample(covered, min(2, len(covered)))),
                 {top + 1, top + rng.randint(2, 5)}]
+        want = scopes(base)
         for s in sets:
-            for computed_first in (False, True):
+            for planned_first in (False, True):
                 tree = copy.copy(base)
-                tree.__dict__.pop("scope_masks", None)
-                if computed_first:
-                    assert tree.scope_masks == {x: scope(tree, x) for x in tree.bags}
-                aug = tree.augment(s)
+                tree.__dict__.pop("walk_plan", None)
+                if planned_first:
+                    aug = tree.augment(s)
+                else:  # the copy builds its own plan, over the shared bag masks
+                    aug = TreeDecomp.augment(tree, s)
+                    assert "walk_plan" not in vars(tree) and "walk_plan" not in vars(aug)
                 twice = aug.augment(rng.choice(sets))
                 for t in (tree, aug, twice):
-                    assert t.scope_masks == {x: scope(t, x) for x in t.bags}
-                    assert _Runner(g, t).scope_mask is t.scope_masks
+                    runner, got = _Runner(g, t), scopes(t)
+                    assert t.walk_plan[2] == want and runner.scope_mask == got
+                    assert runner.scope_size == {f: m.bit_count() for f, m in got.items()}
 
 
 def test_augment_copy_is_the_eager_union():
@@ -489,7 +508,7 @@ def test_augment_copy_is_the_eager_union():
         instances.append((g, build_balanced(g, td)))
     for g, base in instances:
         edges = [tuple(e) for e in base.edges]
-        before = (dict(base.bags), write_td(base), base.width(), dict(base.scope_masks))
+        before = (dict(base.bags), write_td(base), base.width(), copy.deepcopy(base.walk_plan))
         covered = sorted({v for b in base.bags.values() for v in b})
         top = max(covered, default=0)
         for s in (set(), set(rng.sample(covered, min(2, len(covered)))),
@@ -508,7 +527,7 @@ def test_augment_copy_is_the_eager_union():
             assert reach_balanced(g, aug, u, v, engine=eng, report=True) == \
                 reach_balanced(g, eager, u, v, engine=eng, report=True)
         assert "bags" not in vars(aug)
-        assert (base.bags, write_td(base), base.width(), base.scope_masks) == before
+        assert (base.bags, write_td(base), base.width(), base.walk_plan) == before
 
 
 def test_walk_reads_each_plan_once(monkeypatch):

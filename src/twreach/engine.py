@@ -14,7 +14,12 @@ block's caller takes that step, and the outcome of an inner block is memoized
 on (subtree, budget, state after that step), which the schedule repeats
 massively. It is one local recursive function of `_Runner.run_fast` over
 (node, budget, state); its loop looks the memo and the step cache up itself
-and runs leaf blocks inline. States are indices, each distinct mask interned
+and runs leaf blocks inline. The run's block climbs the budgets 1, 2, 4, ...
+and stops memoizing once a budget is stable (`_Runner.run_fast` states the
+condition and proves it exact): from there on every block repeats the parts
+it entered at that budget, so the works and lengths of the higher budgets
+follow from recurrences over the memoized blocks, and the walk visits
+none of them. States are indices, each distinct mask interned
 once with its popcount and, on its first step-cache miss, its successor
 closure. The walk also returns each block's length, so a run makes no
 separate pass over the schedule. A query on an `augment` copy rebuilds
@@ -27,6 +32,7 @@ tests compare it with: both give bit-identical results and accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .decomp import BalancedTD, TreeDecomp, validate_td
 from .graph import DiGraph, VertexSet, undirected_components, vset
@@ -98,7 +104,8 @@ class ReachReport:
     width_balanced: int
     depth_balanced: int
     engine: str
-    memo_entries: int = 0  # inner-block memo size when the walk ends; 0 for "loop"
+    memo_entries: int = 0  # inner-block memo size when the walk ends: its budgets stop
+    # where the walk's budget axis collapses (at 8 on the k=3 bench queries); 0 for "loop"
     step_entries: int = 0  # step-cache size when the walk ends
     state_entries: int = 0  # distinct states the walk held
 
@@ -175,12 +182,47 @@ class _Runner:
         (`self.memo` keeps the last run's memo). The parts come from the
         tree's walk plan, read here and never built: t's parts at budget 1
         for c = 1 and at budget 2 for c > 1, scaled by c/2 (t itself runs at
-        c/2, every other part at c). The run's block (t, d) is the one part
+        c/2, every other part at c). The run's block (t, c) is the one part
         of a virtual parent, None. The loop looks the memo and the step
         cache up itself, calling `walk` or `step` only on a miss, and runs
         leaf blocks inline: marks at a fixed leaf are monotone, so a leaf
         block stops at the first repeated state.
+
+        An inner t's block runs at c = 1, 2, 4, ..., d in turn. The run at
+        d alone would begin with the run at d/2, so the runs memoize
+        exactly the blocks it would, in the same order. After the run at
+        c, for 4 <= c <= d/8, `_collapse` checks whether budget h = c/2 is
+        stable. Let S_h be the pairs (x, s) whose block at budget h the
+        runs so far memoized. Budget h is stable when
+          (a) every pair of S_h has the same final state at h as at h/2;
+          (b) every half part (x, h/2, s') that a block of S_h at h enters
+              has (x, s') in S_h;
+          (c) every leaf part of those blocks reaches its repeated state
+              within h - 1 steps.
+        Claim: then at every budget c' >= h, the block of each pair p of
+        S_h enters its parts at the states its block at h enters them, its
+        half parts are pairs of S_h, and it ends at p's final state at h.
+        Proof, by induction on c' and, at one c', on the height of p's
+        node. At c' = h this is (b). At 2c', p's block begins with its half
+        at c', which ends at p's final state at h (induction), as p's half
+        at h/2 does in its block at h, by (a). A child part is a pair of S_h
+        (the block at h memoized it), so by induction on height it ends
+        where it ended at h; a leaf part does too, by (c), since it takes
+        at least h - 1 steps at any budget >= h. So each part is entered at
+        the same state as at h. A later half (x, s') is in S_h by (b), and
+        ends at (x, s')'s final state at h (induction), which is its final
+        state at h/2 by (a): where that half ended in the block at h.
+        So from budget h on, each pair's block is one recipe: the
+        first-step works of its later parts, its half and child pairs, and
+        its leaf parts, each of work K0 + c' K1 and length c'. The works
+        and lengths at 2h, 4h, ..., d follow from the memo's values at h,
+        level by level, and the final state is the one at h. The steps and
+        states are those of the run at d too: past budget c, each part
+        takes the steps it took by then. When no budget is stable, the
+        runs go on up to d.
         """
+        if d < 1 or d & (d - 1):  # the budgets 1, 2, 4, ... must meet d
+            raise ValueError(f"{d} is not a positive power of 2")
         size = self.scope_size
         pops = self.pops
         step = self.step
@@ -224,11 +266,103 @@ class _Runner:
 
         f = first[t]
         i0 = self.state(initial)
+        i = step(f, i0)
+        # a stable budget h = c/2 pays off only when it spares the runs at 2c,
+        # 4c and 8c at least (measured), so checks need 8c <= d; a leaf's
+        # block, or any below d = 32, runs at d alone
+        c, mark = (1 if t in plans and d >= 32 else d), 0
         try:
-            i, work, length = walk(None, d, step(f, i0))
+            while True:
+                before, mark = mark, len(memo)  # memo sizes before the runs at c/2 and c
+                out = walk(None, c, i)
+                if c == d:
+                    break
+                if c >= 4 and 8 * c <= d:
+                    stable = self._collapse(t, c >> 1, islice(memo, before, None), i, d)
+                    if stable:
+                        out = stable
+                        break
+                c <<= 1
         finally:
             del walk  # the closure refers to itself: break the cycle
+        i, work, length = out
         return self.masks[i], length + 1, work + pops[i0] * size[f]
+
+    def _collapse(self, t: int, h: int, keys, i: int, d: int) -> tuple[int, int, int] | None:
+        """(final state, work, length after the first step) of block (t, d)
+        from state i if budget h is stable (see `run_fast`), else None.
+
+        `keys` holds every memo key of budget h, in the memo's order, so a
+        block's child pairs come before it. Each pair's recipe is read off
+        its block at h: the first-step works and leaf terms K0 + c K1,
+        summed into `fixed` + c `slope`, its half pairs (read one level
+        down) and its child pairs (read at the same level); lengths alike.
+        """
+        memo, cache, pops, size = self.memo, self._step_cache, self.pops, self.scope_size
+        plans = self.tree.walk_plan[0]
+        half = h >> 1
+        if memo[t, h, i][0] != memo[t, half, i][0]:  # (a) on the run's own pair first
+            return None
+        pairs = [(x, s) for x, b, s in keys if b == h]
+        index = {p: q for q, p in enumerate(pairs)}
+        recipes = []
+        for x, s in pairs:
+            if memo[x, h, s][0] != memo[x, half, s][0]:  # (a)
+                return None
+            fixed = slope = 0
+            lfixed, lslope = -1, 0  # the block's first step is its caller's
+            halves, kids = [], []
+            j = s
+            for sub, f, inner in plans[x][1]:
+                if lfixed + lslope >= 0:  # a later part: its first step, at f
+                    fixed += pops[j] * size[f]
+                    j = cache[f, j]
+                if inner:
+                    q = index.get((sub, j))
+                    if q is None:  # (b): a half part entered outside S_h
+                        return None
+                    if sub == x:
+                        halves.append(q)
+                        j = memo[x, half, j][0]
+                    else:
+                        kids.append(q)
+                        j = memo[sub, h, j][0]
+                    lfixed += 1
+                    continue
+                scope = size[sub]
+                for steps in range(1, h):
+                    k = cache[sub, j]
+                    fixed += pops[j] * scope
+                    if k == j:
+                        break
+                    j = k
+                else:  # (c): the leaf has not settled within h - 1 steps
+                    return None
+                fixed -= (1 + steps) * pops[j] * scope
+                slope += pops[j] * scope
+                lslope += 1
+            recipes.append((fixed, slope, lfixed, lslope, halves, kids))
+        got = [memo[x, h, s] for x, s in pairs]
+        work = [w for _, w, _ in got]
+        length = [n for _, _, n in got]
+        c = h
+        while c < d:
+            c <<= 1
+            nwork, nlength = [], []
+            for fixed, slope, lfixed, lslope, halves, kids in recipes:
+                w = fixed + c * slope
+                n = lfixed + c * lslope
+                for q in halves:
+                    w += work[q]
+                    n += length[q]
+                for q in kids:
+                    w += nwork[q]
+                    n += nlength[q]
+                nwork.append(w)
+                nlength.append(n)
+            work, length = nwork, nlength
+        q = index[t, i]
+        return got[q][0], work[q], length[q]
 
 
 def _declared_bits(width: int, depth: int, n_nodes: int, n: int, seq_len: int) -> int:

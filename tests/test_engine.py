@@ -322,22 +322,28 @@ def _bench_query(n):
     return g, td, u, v
 
 
-# distinct states the walk interns on the query below, beside its memo entries
+# distinct states the walk interns on the query below, and its memo entries:
+# the walk memoizes budgets up to 8 and collapses the rest
 _STATE_ENTRIES = {64: 49, 256: 278, 1024: 848}
+_MEMO_ENTRIES = {64: 206, 256: 963, 1024: 3707}
 
 
-@pytest.mark.parametrize("n, want, memo_entries", [
+@pytest.mark.parametrize("n, want, reference_memo_entries", [
     (64, (True, 3248704, 252592110, 320), 353),
     (256, (False, 3292804608, 277226226976, 446), 2028),
     (1024, (True, 1427311357952, 160666276580458, 625), 9867),
 ])
-def test_bench_query_accounting(n, want, memo_entries):
+def test_bench_query_accounting(n, want, reference_memo_entries):
     # the gen.bench_one query at k=3, seed 7: a walk change that moves the
-    # accounting or which blocks are memoized fails here
+    # accounting or which blocks are memoized fails here. The uncollapsed
+    # walk memoizes every budget up to d, for the same accounting
     g, td, u, v = _bench_query(n)
     _, rep = reach(g, td, u, v)
     assert (rep.reachable, rep.iterations, rep.relax_work, rep.peak_bits) == want
-    assert (rep.memo_entries, rep.state_entries) == (memo_entries, _STATE_ENTRIES[n])
+    assert (rep.memo_entries, rep.state_entries) == (_MEMO_ENTRIES[n], _STATE_ENTRIES[n])
+    tree = build_balanced(g, td).augment({u, v})
+    ref = _reference_walk(g, tree, tree.root, rep.d, 1 << u)
+    assert (ref[1], ref[2], ref[3]) == (rep.iterations, rep.relax_work, reference_memo_entries)
 
 
 @pytest.mark.parametrize("n, calls", [(64, 118), (256, 624), (1024, 2156)])
@@ -552,3 +558,183 @@ def test_walk_reads_each_plan_once(monkeypatch):
                          if k == 0 else collections.Counter())
         assert "walk_plan" in vars(base) and "bags" not in vars(tree)
         calls.clear()
+
+
+def _reference_walk(g, tree, t, d, initial):
+    """The block-memoized walk without the budget collapse: every block
+    (node, budget, state) up to budget d is walked and memoized. Returns
+    (final mask, iterations, work, memo entries, its runner)."""
+    runner = _Runner(g, tree)
+    size, pops, step, cache = runner.scope_size, runner.pops, runner.step, runner._step_cache
+    plans, first, _ = tree.walk_plan
+    plans = {**plans, None: ([(t, first[t], tree.ordered_children[t])],) * 2}
+    memo = {}
+
+    def walk(t, c, i):
+        half = c >> 1
+        work = 0
+        length = -1
+        for sub, f, inner in plans[t][c > 1]:
+            b = half if sub == t else c
+            if length >= 0:
+                work += pops[i] * size[f]
+                j = cache.get((f, i))
+                i = step(f, i) if j is None else j
+            if inner:
+                hit = memo.get((sub, b, i))
+                if hit is None:
+                    hit = memo[sub, b, i] = walk(sub, b, i)
+                i, w, n = hit
+                work += w
+                length += n + 1
+                continue
+            scope = size[sub]
+            steps = 0
+            for steps in range(1, b):
+                j = cache.get((sub, i))
+                j = step(sub, i) if j is None else j
+                work += pops[i] * scope
+                if j == i:
+                    break
+                i = j
+            work += (b - 1 - steps) * pops[i] * scope
+            length += b
+        return i, work, length
+
+    f = first[t]
+    i0 = runner.state(initial)
+    i, work, length = walk(None, d, step(f, i0))
+    return runner.masks[i], length + 1, work + pops[i0] * size[f], len(memo), runner
+
+
+def _assert_walk_matches_reference(g, tree, t, d, initial):
+    """run_fast against the uncollapsed walk: the same answer and accounting,
+    the same steps and states (interned in the same order), and no more memo
+    entries. Returns the walk's runner."""
+    mask, iters, work, memo_entries, ref = _reference_walk(g, tree, t, d, initial)
+    runner = _Runner(g, tree)
+    assert runner.run_fast(t, d, initial) == (mask, iters, work), (t, d, initial)
+    assert len(runner.memo) <= memo_entries
+    assert runner._step_cache == ref._step_cache and runner.masks == ref.masks
+    return runner
+
+
+def _memo_budgets(runner):
+    return {b for _, b, _ in runner.memo}
+
+
+def test_collapsed_walk_matches_reference_on_shapes():
+    # random k-trees, directed paths, elimination decompositions of random
+    # digraphs, and augment copies (of a copy too), queried from the root at
+    # the query budget and from inner nodes at other budgets
+    rng = random.Random(22)
+    cases = []
+    for seed in range(12):
+        n = rng.randint(8, 90)
+        g, td = gen_ktree(KTreeSpec(n=n, k=1 + seed % 4, seed=seed,
+                                    arc_probability=rng.choice((0.2, 0.5, 0.8))))
+        cases.append((g, build_balanced(g, td)))
+    for n in (3, 16, 40):
+        cases.append((gen_path(n)[0], build_balanced(*gen_path(n))))
+    for _ in range(8):
+        n = rng.randint(4, 40)
+        g = DiGraph(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(2 * n)])
+        cases.append((g, build_balanced(g, elimination_td(g))))
+    collapsed = 0
+    for g, base in cases:
+        for _ in range(3):
+            u, v = rng.randint(1, g.n), rng.randint(1, g.n)
+            tree = base.augment({u, v})
+            if rng.random() < 0.5:
+                tree = tree.augment({rng.randint(1, g.n)})
+            for d in (1 << max(g.n - 1, 0).bit_length(), 1 << 10):
+                runner = _assert_walk_matches_reference(g, tree, tree.root, d, 1 << u)
+            collapsed += max(_memo_budgets(runner), default=d) < d
+        inner = [x for x in base.preorder if base.children(x)]
+        for t in rng.sample(inner, min(3, len(inner))):
+            for d in (8, 64, 1024):
+                _assert_walk_matches_reference(g, base, t, d, 1 << rng.randint(1, g.n))
+    assert collapsed >= 2 * len(cases)  # most of the 3 queries per case stop below 2^10
+
+
+def test_collapsed_walk_matches_reference_at_huge_budgets():
+    # tiny trees (random shapes and bags, no valid decomposition needed) at
+    # budgets up to 2^24: the recurrences carry works and lengths of that size
+    rng = random.Random(24)
+    instances = [_random_walk_instance(rng) for _ in range(40)]
+    for seed in range(4):
+        g, td = gen_ktree(KTreeSpec(n=6 + seed, k=1 + seed % 2, seed=seed))
+        instances.append((g, build_balanced(g, td)))
+    for g, tree in instances:
+        for t in tree.node_ids():
+            for d in (2, 8, 1 << 12, 1 << 24):
+                initial = vertex_mask(rng.sample(range(1, g.n + 1), rng.randint(1, min(3, g.n))))
+                _assert_walk_matches_reference(g, tree, t, d, initial)
+
+
+def test_collapse_waits_for_a_slow_leaf():
+    # leaf 2's bag holds the directed path 1 -> ... -> 40, and each visit to
+    # leaf 3 (scope {1}) resets the marks to {1}, so leaf 2 settles only after
+    # about 40 steps at every visit: budget h is stable only once h - 1 steps
+    # reach that far (h >= 64), and then the memo stops at budget 2h
+    g = DiGraph(40, [(v, v + 1) for v in range(1, 40)])
+    tree = BalancedTD({1: (1,), 2: tuple(range(1, 41)), 3: (1,)}, [(1, 2), (1, 3)], root=1)
+    for d in (16, 64, 128):  # no stable budget h with 2h < d
+        runner = _assert_walk_matches_reference(g, tree, 1, d, 1 << 1)
+        assert max(_memo_budgets(runner)) == d
+    for d in (1 << 10, 1 << 16):
+        runner = _assert_walk_matches_reference(g, tree, 1, d, 1 << 1)
+        assert 128 <= max(_memo_budgets(runner)) < d
+    # the same leaf below a deeper tree, entered from other states too
+    g = DiGraph(42, [(v, v + 1) for v in range(1, 40)] + [(41, 1), (40, 42)])
+    tree = BalancedTD({1: (41,), 2: (1, 41), 3: tuple(range(1, 41)), 4: (1, 41),
+                       5: (40, 41, 42), 6: (41, 42)},
+                      [(1, 2), (1, 5), (2, 3), (2, 4), (5, 6)], root=1)
+    for d in (8, 128, 1 << 12, 1 << 20):
+        for initial in (1 << 41, 1 << 1, 1 << 42):
+            _assert_walk_matches_reference(g, tree, 1, d, initial)
+    for d in (0, 3, 12):  # the budgets climb by doubling, so d must be a power of 2
+        with pytest.raises(ValueError, match="power of 2"):
+            _Runner(g, tree).run_fast(1, d, 1 << 1)
+
+
+def test_reach_where_vertices_sit_in_one_bag():
+    # ROADMAP item 4: a path of bags {i, i+1} where each bag also holds three
+    # vertices of its own, with random arcs inside each bag, so most vertices
+    # occur in exactly one bag
+    rng = random.Random(41)
+    spine, own = 30, 3
+    bags, arcs, nxt = {}, [], spine + 2
+    for i in range(1, spine + 1):
+        bag = [i, i + 1, *range(nxt, nxt + own)]
+        nxt += own
+        bags[i] = bag
+        arcs += [tuple(rng.sample(bag, 2)) for _ in range(6)]
+    g = DiGraph(nxt - 1, arcs)
+    td = TreeDecomp(bags, [(i, i + 1) for i in range(1, spine)], root=1)
+    once = collections.Counter(v for b in bags.values() for v in b)
+    assert validate_td(g, td).ok and sum(c == 1 for c in once.values()) > g.n // 2
+    pairs = [(rng.randint(1, g.n), rng.randint(1, g.n)) for _ in range(12)]
+    pairs += [(1, g.n), (g.n, 1), (spine + 2, spine + 1)]
+    for u, v in pairs:
+        assert reach(g, td, u, v)[0] == bfs_reachable(g, u, v), (u, v)
+
+
+def test_reach_on_a_ktree_among_isolated_vertices():
+    # ROADMAP item 4: a k=3 k-tree on vertices 1..40 plus 3,000 isolated
+    # vertices, each in a one-vertex bag hung below the k-tree's root:
+    # 3,001 components
+    g0, td0 = gen_ktree(KTreeSpec(n=40, k=3, seed=5))
+    n = 3040
+    g = DiGraph(n, list(g0.arcs))
+    bags = {x: td0.bag(x) for x in td0.node_ids()}
+    top = max(bags)
+    bags.update({top + v - 40: (v,) for v in range(41, n + 1)})
+    edges = [tuple(e) for e in td0.edges] + [(td0.root, x) for x in range(top + 1, top + n - 39)]
+    td = TreeDecomp(bags, edges, root=td0.root)
+    assert validate_td(g, td).ok and len(g.components) == 3001
+    rng = random.Random(6)
+    pairs = [(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(3)]
+    pairs += [(1, n), (n, 2), (41, 41), (n - 1, n)]
+    for u, v in pairs:
+        assert reach(g, td, u, v)[0] == bfs_reachable(g, u, v), (u, v)

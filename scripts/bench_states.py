@@ -20,8 +20,8 @@ Two more calls per side run under tracemalloc: `reach_balanced` on the
 augmented tree alone (`heap_peak_mib`, which leaves out what `augment` built
 for the walk), and a whole query, `augment({u, v})` of the balanced tree
 followed by `reach_balanced` (`query_heap_mib`; the base's walk plan is built
-beforehand, as it is for every query after a graph's first). One
-`_Runner.run_fast` on a fresh runner gives the memo, step-cache and state
+beforehand, as it is for every query after a graph's first). The report of
+one more `reach_balanced` call gives the memo, step-table and state
 entries.
 
 Then come the shape families (`SHAPES`): a directed path with its path
@@ -30,10 +30,16 @@ random graphs (m = 1.1n undirected pairs) with random arc directions and
 their min-degree elimination decompositions (`gen.elimination_td`). The
 change side's `gen` writes each instance's `.gr` and `.td` text once; each
 side parses both texts and times `build_balanced` on them, alternating as
-above, in `SHAPE_RUNS` rounds. It exits 1 when the two sides' answers,
-accounting, balanced trees (of the grid or of a family), step or state
-entries differ. Memo entries are reported per side and may differ: a walk
-that collapses its budget axis memoizes fewer blocks for the same answer.
+above, in `RUNS` rounds, and each row reports the change's pair wins. An A/A
+run (one commit's `src` on both sides, 2-vCPU host, Python 3.11.7) read
+balance_time_ratio_median 0.965-1.013 on the shape rows, with 5-10 pair
+wins of 15; on the grid it read time_ratio_median 0.945-1.005 (5-13 wins)
+and balance_time_ratio_median 0.992-1.030 (4-12 wins). So a ratio inside
+about 0.94-1.05 with 4-13 wins of 15 is noise. It exits 1 when the two
+sides' answers, accounting, balanced trees (of the grid or of a family),
+step or state entries differ. Memo entries are reported per side and may
+differ: a walk that collapses its budget axis memoizes fewer blocks for the
+same answer.
 """
 from __future__ import annotations
 
@@ -56,7 +62,6 @@ RUNS = 15  # timed calls per side and kind at every n
 SHAPES = (("path", 250), ("path", 500), ("path", 1000), ("grid", 64), ("grid", 144),
           ("grid", 256), ("sparse", 150), ("sparse", 300), ("sparse", 600))
 SHAPE_SEED = 7
-SHAPE_RUNS = 5  # timed build_balanced calls per side and instance
 
 
 def load(name: str, src: str):
@@ -109,7 +114,7 @@ def shape_rows(sides: dict) -> dict:
                   for side, tw in sides.items()}
         times: dict[str, list[float]] = {side: [] for side in sides}
         trees = {}
-        for r in range(SHAPE_RUNS):
+        for r in range(RUNS):
             for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
                 gc.collect()
                 start = time.perf_counter()
@@ -118,7 +123,7 @@ def shape_rows(sides: dict) -> dict:
         for side, tw in sides.items():
             sha1 = hashlib.sha1(tw["decomp"].write_td(trees[side]).encode()).hexdigest()[:12]
             row = {"family": family, "n": n, "width_input": inputs[side][1].width(),
-                   "runs": SHAPE_RUNS, **quartiles(times[side], "balance_"),
+                   "runs": RUNS, **quartiles(times[side], "balance_"),
                    "balanced_sha1": sha1}
             if side == "change":
                 row.update(paired(times["parent"], times["change"], "balance_"))
@@ -135,16 +140,6 @@ def timed_calls(tw, g, td, text, base, tree, u: int, v: int) -> dict:
             "augment_reach_": lambda: reach(g, base.augment({u, v}), u, v, report=True),
             "parse_": lambda: tw["decomp"].parse_td(text),
             "balance_": lambda: tw["recursive"].build_balanced(g, td)}
-
-
-def entries(tw, g, tree, u: int) -> dict:
-    eng = tw["engine"]
-    runner = eng._Runner(g, tree)
-    d = 1 << max(g.n - 1, 0).bit_length()
-    runner.run_fast(tree.root, d, 1 << u)
-    states = runner.masks if hasattr(runner, "masks") else runner._states
-    return {"memo_entries": len(runner.memo), "step_entries": len(runner._step_cache),
-            "state_entries": len(states)}
 
 
 def heap_peak_mib(call) -> float:
@@ -173,10 +168,9 @@ FIELDS = {
     "heap_peak_mib": "tracemalloc peak over one more reach_balanced call on the augmented tree",
     "query_heap_mib": "tracemalloc peak over one more augment({u, v}) of the balanced tree "
                       "followed by reach_balanced, the tree's walk plan built beforehand",
-    "memo_entries": "len(_Runner.memo) after one run_fast on a fresh runner",
-    "step_entries": "len(_Runner._step_cache) after that run",
-    "state_entries": "distinct states held after that run: len(_Runner.masks), "
-                     "or len(_Runner._states) where states are interned by value",
+    "memo_entries": "ReachReport.memo_entries: the walk's memo entries",
+    "step_entries": "ReachReport.step_entries: the walk's step-cache or step-table entries",
+    "state_entries": "ReachReport.state_entries: distinct states the walk held",
     "reachable": "ReachReport.reachable", "iterations": "ReachReport.iterations",
     "relax_work": "ReachReport.relax_work", "peak_bits": "ReachReport.peak_bits",
     "time_ratio_median": "median over the paired calls of change time / parent time",
@@ -236,7 +230,8 @@ def main(argv: list[str]) -> int:
             sha1 = hashlib.sha1(tw["decomp"].write_td(base).encode()).hexdigest()[:12]
             row.update({"heap_peak_mib": round(heap_peak_mib(calls[side]["reach_balanced_"]), 3),
                         "query_heap_mib": round(heap_peak_mib(calls[side]["augment_reach_"]), 3),
-                        **entries(tw, g, tree, u), "balanced_sha1": sha1,
+                        "memo_entries": rep.memo_entries, "step_entries": rep.step_entries,
+                        "state_entries": rep.state_entries, "balanced_sha1": sha1,
                         "reachable": rep.reachable, "iterations": rep.iterations,
                         "relax_work": rep.relax_work, "peak_bits": rep.peak_bits})
             if side == "change":

@@ -219,8 +219,10 @@ class BalancedTD(TreeDecomp):
         self.ordered_children = self._children
 
     def augment(self, s: Iterable[int]) -> "BalancedTD":
-        """`TreeDecomp.augment`, after building the walk plan the copy shares."""
+        """`TreeDecomp.augment`, after building the walk plan and the leaf
+        depths the copy shares."""
         self.walk_plan
+        self.leaf_depths
         return super().augment(s)
 
     @cached_property
@@ -242,6 +244,13 @@ class BalancedTD(TreeDecomp):
                 first[x] = one[0][1]  # a block at any c begins with the block at 1
                 plan[x] = one, [(sub, first[sub], children[sub]) for sub, _ in parts(x, 2)]
         return plan, first, {x: m for x, m in scope.items() if not children[x]}
+
+    @cached_property
+    def leaf_depths(self) -> list[int]:
+        """The root's leaves counted by depth (`sequences.leaf_depths`), from
+        which the walk reads its schedule length; built once per base tree."""
+        from .sequences import leaf_depths
+        return leaf_depths(self, self.root)
 
     def parent(self, node: int) -> int | None:
         return self._parent[node]

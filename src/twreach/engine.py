@@ -13,19 +13,22 @@ subtree's first leaf (the first leaf of its first part at budget 1); the
 block's caller takes that step, and the outcome of an inner block is memoized
 on (subtree, budget, state after that step), which the schedule repeats
 massively. It is one local recursive function of `_Runner.run_fast` over
-(node, budget, state); its loop looks the memo and the step cache up itself
-and runs leaf blocks inline. The run's block climbs the budgets 1, 2, 4, ...
-and stops memoizing once a budget is stable (`_Runner.run_fast` states the
-condition and proves it exact): from there on every block repeats the parts
-it entered at that budget, so the works and lengths of the higher budgets
-follow from recurrences over the memoized blocks, and the walk visits
-none of them. States are indices, each distinct mask interned
-once with its popcount and, on its first step-cache miss, its successor
-closure. The walk also returns each block's length, so a run makes no
-separate pass over the schedule. A query on an `augment` copy rebuilds
-nothing its base tree knows: its one per-leaf table is the plan's leaf
-scopes (root-path bags as vertex masks) with the copy's vertices added,
-it reads the root's bag mask, and it builds none of the copy's bags. The
+(node, budget, state); its loop looks the memo and the leaves' step tables
+up itself and runs leaf blocks inline. The run's block climbs the budgets
+1, 2, 4, ... and stops memoizing once a budget is stable (`_Runner.run_fast`
+states the condition and proves it exact): from there on every block
+repeats the parts it entered at that budget, so the works of the higher
+budgets follow from recurrences over the memoized blocks, and the walk
+visits none of them. States are indices, each distinct mask interned
+once with its popcount and, on its first step-table miss, its successor
+closure; each leaf has one step table, state to state. The walk carries
+states and works only: a schedule's length depends on the tree's shape
+alone, and a run reads it from the closed form
+`sequences.schedule_length`, so it makes no pass over the schedule. A
+query on an `augment` copy rebuilds nothing its base tree knows: its
+per-leaf tables are the plan's leaf scopes (root-path bags as vertex masks)
+with the copy's vertices added, and empty step tables; it reads the root's
+bag mask and leaf depths, and it builds none of the copy's bags. The
 literal iteration-by-iteration walk ("loop") is kept as the reference the
 tests compare it with: both give bit-identical results and accounting.
 """
@@ -37,7 +40,7 @@ from itertools import islice
 from .decomp import BalancedTD, TreeDecomp, validate_td
 from .graph import DiGraph, VertexSet, undirected_components, vset
 from .recursive import build_balanced
-from .sequences import LeafSeq
+from .sequences import LeafSeq, leaf_depths, schedule_length
 # Not called here since the walk recurses through LeafSeq.parts; kept as
 # engine.useq_element because perfbench/tracing.py counts calls through it.
 from .sequences import useq_element  # noqa: F401
@@ -106,7 +109,7 @@ class ReachReport:
     engine: str
     memo_entries: int = 0  # inner-block memo size when the walk ends: its budgets stop
     # where the walk's budget axis collapses (at 8 on the k=3 bench queries); 0 for "loop"
-    step_entries: int = 0  # step-cache size when the walk ends
+    step_entries: int = 0  # entries of all the leaves' step tables when the walk ends
     state_entries: int = 0  # distinct states the walk held
 
 
@@ -120,13 +123,13 @@ class _Runner:
         self.scope_mask = scope = {f: m | add for f, m in tree.walk_plan[2].items()}
         self.scope_size = {f: m.bit_count() for f, m in scope.items()}
         # state i is the vertex mask masks[i], of popcount pops[i]; closures[i]
-        # is its successor closure once a step from it has missed the cache
+        # is its successor closure once a step from it has missed the tables
         self.masks: list[int] = []
         self.pops: list[int] = []
         self.closures: list[int | None] = []
         self._index: dict[int, int] = {}
-        self._step_cache: dict[tuple[int, int], int] = {}  # (leaf, i) -> j
-        self.memo: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+        self.steps: dict[int, dict[int, int]] = {f: {} for f in scope}  # leaf's table: i -> j
+        self.memo: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     def state(self, mask: int) -> int:
         """Index of the state `mask`, interned with its popcount on first sight."""
@@ -150,14 +153,19 @@ class _Runner:
         return cur
 
     def step(self, f: int, i: int) -> int:
-        """One iteration from state i: the state of the fresh vector scoped to leaf f."""
-        hit = self._step_cache.get((f, i))
-        if hit is not None:
-            return hit
+        """One iteration from state i: the state j of the fresh vector scoped to
+        leaf f, entered in f's step table. Callers look the table up first."""
         cur = self.closures[i]
         if cur is None:
             cur = self.close(i)
-        j = self._step_cache[f, i] = self.state(cur & self.scope_mask[f])
+        mask = cur & self.scope_mask[f]
+        j = self._index.get(mask)
+        if j is None:  # interned as `state` does
+            j = self._index[mask] = len(self.masks)
+            self.masks.append(mask)
+            self.pops.append(mask.bit_count())
+            self.closures.append(None)
+        self.steps[f][i] = j
         return j
 
     def run_loop(self, t: int, d: int, initial: int) -> tuple[int, int, int]:
@@ -166,10 +174,12 @@ class _Runner:
         iters = work = 0
         size = self.scope_size
         pops = self.pops
+        steps = self.steps
         for f in LeafSeq(self.tree, t, d):
             iters += 1
             work += pops[i] * size[f]
-            i = self.step(f, i)
+            j = steps[f].get(i)
+            i = self.step(f, i) if j is None else j
         return self.masks[i], iters, work
 
     def run_fast(self, t: int, d: int, initial: int) -> tuple[int, int, int]:
@@ -178,15 +188,19 @@ class _Runner:
         Every block (t, d) begins with one step at t's first leaf, so its
         outcome depends on the entry state only through that step. `walk(t,
         c, i)` runs block (t, c) from state index i after that step, taking
-        every later part's first step itself; its memo entry is (t, c, i)
-        (`self.memo` keeps the last run's memo). The parts come from the
-        tree's walk plan, read here and never built: t's parts at budget 1
-        for c = 1 and at budget 2 for c > 1, scaled by c/2 (t itself runs at
-        c/2, every other part at c). The run's block (t, c) is the one part
-        of a virtual parent, None. The loop looks the memo and the step
-        cache up itself, calling `walk` or `step` only on a miss, and runs
-        leaf blocks inline: marks at a fixed leaf are monotone, so a leaf
-        block stops at the first repeated state.
+        every later part's first step itself, and returns its final state
+        and work; its memo entry is (t, c, i) (`self.memo` keeps the last
+        run's memo). The parts come from the tree's walk plan, read here and
+        never built: t's parts at budget 1 for c = 1 and at budget 2 for
+        c > 1, scaled by c/2 (t itself runs at c/2, every other part at c).
+        The run's block (t, c) is the one part of a virtual parent, None.
+        The loop looks the memo and each leaf's step table up itself,
+        calling `walk` or `step` only on a miss, and runs leaf blocks
+        inline: marks at a fixed leaf are monotone, so a leaf block stops
+        at the first repeated state. A block's length does not depend on
+        its states, so the walk counts none: the iterations are
+        `sequences.schedule_length` of t's leaves by depth, which the tree
+        keeps for its root (`BalancedTD.leaf_depths`) and any other t scans.
 
         An inner t's block runs at c = 1, 2, 4, ..., d in turn. The run at
         d alone would begin with the run at d/2, so the runs memoize
@@ -214,55 +228,55 @@ class _Runner:
         state at h/2 by (a): where that half ended in the block at h.
         So from budget h on, each pair's block is one recipe: the
         first-step works of its later parts, its half and child pairs, and
-        its leaf parts, each of work K0 + c' K1 and length c'. The works
-        and lengths at 2h, 4h, ..., d follow from the memo's values at h,
-        level by level, and the final state is the one at h. The steps and
-        states are those of the run at d too: past budget c, each part
-        takes the steps it took by then. When no budget is stable, the
-        runs go on up to d.
+        its leaf parts, each of work K0 + c' K1. The works at 2h, 4h, ...,
+        d follow from the memo's values at h, level by level, and the final
+        state is the one at h. The steps and states are those of the run at
+        d too: past budget c, each part takes the steps it took by then.
+        When no budget is stable, the runs go on up to d.
         """
         if d < 1 or d & (d - 1):  # the budgets 1, 2, 4, ... must meet d
             raise ValueError(f"{d} is not a positive power of 2")
         size = self.scope_size
         pops = self.pops
         step = self.step
-        cache = self._step_cache
-        plans, first, _ = self.tree.walk_plan
-        plans = {**plans, None: ([(t, first[t], self.tree.ordered_children[t])],) * 2}
+        steps = self.steps
+        tree = self.tree
+        plans, first, _ = tree.walk_plan
+        plans = {**plans, None: ([(t, first[t], tree.ordered_children[t])],) * 2}
         memo = self.memo = {}
 
-        def walk(t: int | None, c: int, i: int) -> tuple[int, int, int]:
-            """(final state, work, length after the first step) of block (t, c)."""
+        def walk(t: int | None, c: int, i: int) -> tuple[int, int]:
+            """(final state, work after the first step) of block (t, c)."""
             half = c >> 1
             work = 0
-            length = -1  # the first part's first step is already taken
+            later = False  # the first part's first step is already taken
             for sub, f, inner in plans[t][c > 1]:
-                b = half if sub == t else c
-                if length >= 0:  # a later part: take its first step, at f
+                if later:  # take the part's first step, at f
                     work += pops[i] * size[f]
-                    j = cache.get((f, i))
+                    j = steps[f].get(i)
                     i = step(f, i) if j is None else j
+                later = True
                 if inner:
+                    b = half if sub == t else c
                     hit = memo.get((sub, b, i))
                     if hit is None:
                         hit = memo[sub, b, i] = walk(sub, b, i)
-                    i, w, n = hit
+                    i, w = hit
                     work += w
-                    length += n + 1
                     continue
+                tab = steps[sub]
                 scope = size[sub]
-                steps = 0
-                for steps in range(1, b):
-                    j = cache.get((sub, i))
+                n = 0
+                for n in range(1, c):
+                    j = tab.get(i)
                     j = step(sub, i) if j is None else j
                     work += pops[i] * scope
                     if j == i:
                         break
                     i = j
                 # the remaining repetitions leave the state unchanged
-                work += (b - 1 - steps) * pops[i] * scope
-                length += b
-            return i, work, length
+                work += (c - 1 - n) * pops[i] * scope
+            return i, work
 
         f = first[t]
         i0 = self.state(initial)
@@ -285,20 +299,21 @@ class _Runner:
                 c <<= 1
         finally:
             del walk  # the closure refers to itself: break the cycle
-        i, work, length = out
-        return self.masks[i], length + 1, work + pops[i0] * size[f]
+        i, work = out
+        depths = tree.leaf_depths if t == tree.root else leaf_depths(tree, t)
+        return self.masks[i], schedule_length(depths, d), work + pops[i0] * size[f]
 
-    def _collapse(self, t: int, h: int, keys, i: int, d: int) -> tuple[int, int, int] | None:
-        """(final state, work, length after the first step) of block (t, d)
-        from state i if budget h is stable (see `run_fast`), else None.
+    def _collapse(self, t: int, h: int, keys, i: int, d: int) -> tuple[int, int] | None:
+        """(final state, work after the first step) of block (t, d) from
+        state i if budget h is stable (see `run_fast`), else None.
 
         `keys` holds every memo key of budget h, in the memo's order, so a
         block's child pairs come before it. Each pair's recipe is read off
         its block at h: the first-step works and leaf terms K0 + c K1,
         summed into `fixed` + c `slope`, its half pairs (read one level
-        down) and its child pairs (read at the same level); lengths alike.
+        down) and its child pairs (read at the same level).
         """
-        memo, cache, pops, size = self.memo, self._step_cache, self.pops, self.scope_size
+        memo, steps, pops, size = self.memo, self.steps, self.pops, self.scope_size
         plans = self.tree.walk_plan[0]
         half = h >> 1
         if memo[t, h, i][0] != memo[t, half, i][0]:  # (a) on the run's own pair first
@@ -310,13 +325,14 @@ class _Runner:
             if memo[x, h, s][0] != memo[x, half, s][0]:  # (a)
                 return None
             fixed = slope = 0
-            lfixed, lslope = -1, 0  # the block's first step is its caller's
             halves, kids = [], []
             j = s
+            later = False  # the block's first step is its caller's
             for sub, f, inner in plans[x][1]:
-                if lfixed + lslope >= 0:  # a later part: its first step, at f
+                if later:  # the part's first step, at f
                     fixed += pops[j] * size[f]
-                    j = cache[f, j]
+                    j = steps[f][j]
+                later = True
                 if inner:
                     q = index.get((sub, j))
                     if q is None:  # (b): a half part entered outside S_h
@@ -327,42 +343,36 @@ class _Runner:
                     else:
                         kids.append(q)
                         j = memo[sub, h, j][0]
-                    lfixed += 1
                     continue
+                tab = steps[sub]
                 scope = size[sub]
-                for steps in range(1, h):
-                    k = cache[sub, j]
+                for n in range(1, h):
+                    k = tab[j]
                     fixed += pops[j] * scope
                     if k == j:
                         break
                     j = k
                 else:  # (c): the leaf has not settled within h - 1 steps
                     return None
-                fixed -= (1 + steps) * pops[j] * scope
+                fixed -= (1 + n) * pops[j] * scope
                 slope += pops[j] * scope
-                lslope += 1
-            recipes.append((fixed, slope, lfixed, lslope, halves, kids))
+            recipes.append((fixed, slope, halves, kids))
         got = [memo[x, h, s] for x, s in pairs]
-        work = [w for _, w, _ in got]
-        length = [n for _, _, n in got]
+        work = [w for _, w in got]
         c = h
         while c < d:
             c <<= 1
-            nwork, nlength = [], []
-            for fixed, slope, lfixed, lslope, halves, kids in recipes:
+            nwork = []
+            for fixed, slope, halves, kids in recipes:
                 w = fixed + c * slope
-                n = lfixed + c * lslope
                 for q in halves:
                     w += work[q]
-                    n += length[q]
                 for q in kids:
                     w += nwork[q]
-                    n += nlength[q]
                 nwork.append(w)
-                nlength.append(n)
-            work, length = nwork, nlength
+            work = nwork
         q = index[t, i]
-        return got[q][0], work[q], length[q]
+        return got[q][0], work[q]
 
 
 def _declared_bits(width: int, depth: int, n_nodes: int, n: int, seq_len: int) -> int:
@@ -410,7 +420,7 @@ def reach_balanced(g: DiGraph, tree: BalancedTD, u: int, v: int,
                        n=n, d=d_total,
                        width_balanced=width, depth_balanced=depth, engine=engine,
                        memo_entries=len(runner.memo),
-                       step_entries=len(runner._step_cache),
+                       step_entries=sum(map(len, runner.steps.values())),
                        state_entries=len(runner.masks))
 
 

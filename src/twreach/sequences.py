@@ -7,7 +7,9 @@ universal sequence of order log2 d. By the same self-similarity, the block of
 an inner node t at budget d is the block of t at d/2, then each child's block
 at d, then the block of t at d/2 again. `LeafSeq.parts` states that rule once;
 the schedule's length, its elements by index and its stream all recurse
-through it, and nothing is ever materialized.
+through it, and nothing is ever materialized. The length also has a closed
+form over t's leaves by depth (`schedule_length`), which the marking walk
+reads instead of counting.
 """
 from __future__ import annotations
 
@@ -73,15 +75,50 @@ def dominating_subsequence(s: int, demands: list[int]) -> list[int] | None:
     return out if j == len(demands) else None
 
 
-def lseq_length(h: int, d: int) -> int:
-    """Closed-form schedule length for a complete tree of height h: 2^h * d * C(h+log2 d, log2 d).
+def leaf_depths(tree: BalancedTD, t: int) -> list[int]:
+    """t's leaves counted by their distance below t: out[k] of them lie k edges down."""
+    children = tree.ordered_children
+    out, level = [], [t]
+    while level:
+        out.append(sum(not children[x] for x in level))
+        level = [y for x in level for y in children[x]]
+    return out
 
-    Exact for complete binary trees; an upper bound otherwise.
+
+def schedule_length(depths: list[int], d: int) -> int:
+    """Exact length of Lseq(t, d) for any tree, from `depths`, t's leaves
+    counted by their distance below t (`leaf_depths`):
+
+        |Lseq(t, d)| = d * sum over the leaves f under t of C(dist(t, f) + log2 d, log2 d).
+
+    Proof. Let Q_x(s) = |block(x, 2^s)| / 2^s. A leaf's block at c is c
+    copies of it, so Q_leaf(s) = 1. By `LeafSeq.parts` an inner node's block
+    at 1 is each child's block at 1, and at c = 2^s > 1 it is its block at
+    c/2, each child's block at c and its block at c/2 again. Dividing by c,
+    Q_x(0) = sum_k Q_k(0) and Q_x(s) = Q_x(s-1) + sum_k Q_k(s) over x's
+    children k, however many there are (one, after binarization). Claim:
+    Q_x(s) = sum over the leaves f under x of C(dist(x, f) + s, s). It holds
+    at a leaf, and at s = 0, where each leaf counts 1. Otherwise, by
+    induction on s and on height, a leaf f at D = dist(x, f) = dist(k, f) + 1
+    below x adds C(D + s - 1, s - 1) through Q_x(s-1) and C(D - 1 + s, s)
+    through its child k's Q_k(s), and the two sum to C(D + s, s) by Pascal's
+    rule (unrolled, the hockey-stick identity).
+    """
+    s = _check_pow2(d)
+    return d * sum(count * comb(k + s, s) for k, count in enumerate(depths))
+
+
+def lseq_length(h: int, d: int) -> int:
+    """Schedule length for a complete binary tree of height h: 2^h * d * C(h+log2 d, log2 d).
+
+    The `schedule_length` of 2^h leaves at depth h. It bounds every binary
+    tree of height at most h from above: replacing a leaf at depth k < h by
+    a complete subtree of height h - k puts 2^(h-k) leaves, each adding at
+    least as much, in its place.
     """
     if h < 0:
         raise ValueError("height must be non-negative")
-    logd = _check_pow2(d)
-    return (1 << h) * d * comb(h + logd, logd)
+    return schedule_length([0] * h + [1 << h], d)
 
 
 class LeafSeq:

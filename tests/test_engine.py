@@ -357,7 +357,7 @@ def test_walk_steps_each_pair_once(n, calls):
     plain = runner.step
     runner.step = lambda f, i: seen.append((f, i)) or plain(f, i)
     runner.run_fast(tree.root, 1 << (n - 1).bit_length(), 1 << u)
-    assert len(seen) == len(set(seen)) == len(runner._step_cache) == calls
+    assert len(seen) == len(set(seen)) == _step_entries(runner) == calls
 
 
 def test_walk_interns_each_state_once():
@@ -377,14 +377,14 @@ def test_walk_interns_each_state_once():
             masks = runner.masks
             assert runner.memo and len(set(masks)) == len(masks)
             assert runner.pops == [m.bit_count() for m in masks]
-            held = [s for (_, _, s), (s2, _, _) in runner.memo.items() for s in (s, s2)]
-            held += [s for (_, p), s in runner._step_cache.items() for s in (p, s)]
+            held = [s for (_, _, s), (s2, _) in runner.memo.items() for s in (s, s2)]
+            held += [s for tab in runner.steps.values() for p, s in tab.items() for s in (p, s)]
             assert all(type(s) is int and 0 <= s < len(masks) for s in held)
             held_states = len(masks)
             i = runner.state(initial)
             assert masks[i] == initial and len(masks) == held_states
             if initial != 1 << 1:
-                assert runner._step_cache[leaf, i] == i
+                assert runner.steps[leaf][i] == i
 
 
 def test_walk_follows_leafseq_parts(monkeypatch):
@@ -455,8 +455,8 @@ def test_walk_closes_each_state_once(n):
     plain = runner.close
     runner.close = lambda i: closed.append(i) or plain(i)
     runner.run_fast(tree.root, 1 << (n - 1).bit_length(), 1 << u)
-    stepped_from = {i for _, i in runner._step_cache}
-    assert len(closed) == len(set(closed)) == len(stepped_from) < len(runner._step_cache)
+    stepped_from = {i for tab in runner.steps.values() for i in tab}
+    assert len(closed) == len(set(closed)) == len(stepped_from) < _step_entries(runner)
     assert set(closed) == stepped_from
     for i in stepped_from:
         mask = runner.masks[i]
@@ -560,12 +560,16 @@ def test_walk_reads_each_plan_once(monkeypatch):
         calls.clear()
 
 
+def _step_entries(runner):
+    return sum(map(len, runner.steps.values()))
+
+
 def _reference_walk(g, tree, t, d, initial):
     """The block-memoized walk without the budget collapse: every block
     (node, budget, state) up to budget d is walked and memoized. Returns
     (final mask, iterations, work, memo entries, its runner)."""
     runner = _Runner(g, tree)
-    size, pops, step, cache = runner.scope_size, runner.pops, runner.step, runner._step_cache
+    size, pops, step, steps = runner.scope_size, runner.pops, runner.step, runner.steps
     plans, first, _ = tree.walk_plan
     plans = {**plans, None: ([(t, first[t], tree.ordered_children[t])],) * 2}
     memo = {}
@@ -578,7 +582,7 @@ def _reference_walk(g, tree, t, d, initial):
             b = half if sub == t else c
             if length >= 0:
                 work += pops[i] * size[f]
-                j = cache.get((f, i))
+                j = steps[f].get(i)
                 i = step(f, i) if j is None else j
             if inner:
                 hit = memo.get((sub, b, i))
@@ -589,15 +593,15 @@ def _reference_walk(g, tree, t, d, initial):
                 length += n + 1
                 continue
             scope = size[sub]
-            steps = 0
-            for steps in range(1, b):
-                j = cache.get((sub, i))
+            k = 0
+            for k in range(1, b):
+                j = steps[sub].get(i)
                 j = step(sub, i) if j is None else j
                 work += pops[i] * scope
                 if j == i:
                     break
                 i = j
-            work += (b - 1 - steps) * pops[i] * scope
+            work += (b - 1 - k) * pops[i] * scope
             length += b
         return i, work, length
 
@@ -615,7 +619,7 @@ def _assert_walk_matches_reference(g, tree, t, d, initial):
     runner = _Runner(g, tree)
     assert runner.run_fast(t, d, initial) == (mask, iters, work), (t, d, initial)
     assert len(runner.memo) <= memo_entries
-    assert runner._step_cache == ref._step_cache and runner.masks == ref.masks
+    assert runner.steps == ref.steps and runner.masks == ref.masks
     return runner
 
 

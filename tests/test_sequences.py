@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twreach.decomp import BalancedTD
-from twreach.sequences import (LeafSeq, dominating_subsequence, lseq_element,
-                               lseq_length, useq_counts, useq_element,
-                               useq_length, useq_stream)
+from twreach.gen import KTreeSpec, elimination_td, gen_ktree, gen_path
+from twreach.graph import DiGraph
+from twreach.recursive import build_balanced
+from twreach.sequences import (LeafSeq, dominating_subsequence, leaf_depths,
+                               lseq_element, lseq_length, schedule_length,
+                               useq_counts, useq_element, useq_length,
+                               useq_stream)
 
 
 def _materialize_useq(s):
@@ -222,6 +226,51 @@ def test_lseq_matches_literal_definition():
             assert seq.materialize() == expected
             assert [seq.element(r) for r in range(1, len(expected) + 1)] == expected
     assert single_child_seen
+
+
+def _closed_form_trees(rng):
+    """Balanced random k-trees, paths and elimination decompositions, and
+    random binary shapes; binarization leaves single-child nodes in some."""
+    for seed in range(5):
+        g, td = gen_ktree(KTreeSpec(n=rng.randint(6, 30), k=1 + seed % 4, seed=seed))
+        yield build_balanced(g, td)
+    for n in (1, 3, 16, 40):
+        yield build_balanced(*gen_path(n))
+    for _ in range(4):
+        n = rng.randint(4, 30)
+        g = DiGraph(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(2 * n)])
+        yield build_balanced(g, elimination_td(g))
+    for _ in range(10):
+        yield _random_binary_tree(rng, rng.randint(1, 12))
+
+
+def test_schedule_length_is_exact_at_every_node(monkeypatch):
+    # the closed form over a node's leaves by depth is its schedule's length
+    # at every node and budget up to 2^12, on augment copies too (which
+    # share their base's root histogram), and it stays so when LeafSeq.parts
+    # reverses the children
+    original = LeafSeq.parts
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(LeafSeq, "parts",
+                                lambda self, t, d: original(self, t, d)[::-1])
+        rng = random.Random(23)
+        trees = list(_closed_form_trees(rng))
+        assert any(len(tree.children(x)) == 1 for tree in trees[:13] for x in tree.bags)
+        for base in trees:
+            twice = base.augment({1}).augment({2})
+            assert twice.leaf_depths is base.leaf_depths
+            for tree in (base, twice):
+                for t in tree.preorder:
+                    depths = leaf_depths(tree, t)
+                    if t == tree.root:
+                        assert tree.leaf_depths == depths
+                    for s in range(13):
+                        d = 1 << s
+                        assert schedule_length(depths, d) == len(LeafSeq(tree, t, d)), (t, d)
+    for d in (0, 3):
+        with pytest.raises(ValueError, match="power of 2"):
+            schedule_length([1], d)
 
 
 def test_lseq_every_leaf_appears():

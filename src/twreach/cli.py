@@ -16,14 +16,15 @@ from .sequences import lseq_element, useq_stream
 
 # Past these limits one command would run for hours or print gigabytes:
 # `useq --s` prints 2^(s+1) - 1 numbers, `bench` balances and walks one
-# instance per repetition, and an `lseq` answer costs (tree nodes) x
-# (log2 d)^2 big-int work. `gen-ktree` takes about 50 us and 1.8 KB per
-# vertex (n=100000: 4.9 s, 179 MiB peak), and one `bench` instance grows
-# faster than linearly in n (k=3: 2.5 s at n=4096, 6.7 s and 127 MiB at
-# n=8192). A k-tree has about n*k edges, so both commands also bound k:
-# at k=16, `gen-ktree --n 100000` takes 10.8 s and 511 MiB, and `bench
-# --grid 8192:16` 4.1 s and 106 MiB. Each is measured with the CLI on a
-# 2-vCPU host.
+# instance per repetition, and an `lseq` answer takes (tree height + log2 d)
+# steps, each a closed form over (tree height) binomials (0.15 s at d =
+# 2^2048 on the balanced k=3 n=1024 k-tree). `gen-ktree` takes about 50 us
+# and 1.8 KB per vertex (n=100000: 4.9 s, 179 MiB peak), and one `bench`
+# instance grows faster than linearly in n (k=3: 2.5 s at n=4096, 6.7 s and
+# 127 MiB at n=8192). A k-tree has about n*k edges, so both commands also
+# bound k: at k=16, `gen-ktree --n 100000` takes 10.8 s and 511 MiB, and
+# `bench --grid 8192:16` 4.1 s and 106 MiB. Each is measured with the CLI on
+# a 2-vCPU host.
 MAX_USEQ_ORDER = 20
 MAX_BENCH_REPS = 100
 MAX_BENCH_N = 8192

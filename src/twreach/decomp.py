@@ -219,19 +219,18 @@ class BalancedTD(TreeDecomp):
         self.ordered_children = self._children
 
     def augment(self, s: Iterable[int]) -> "BalancedTD":
-        """`TreeDecomp.augment`, after building the walk plan and the leaf
-        depths the copy shares."""
+        """`TreeDecomp.augment`, after building the walk plan the copy shares."""
         self.walk_plan
-        self.leaf_depths
         return super().augment(s)
 
     @cached_property
-    def walk_plan(self) -> tuple[dict[int, tuple[list, list]], dict[int, int], dict[int, int]]:
+    def walk_plan(self) -> tuple[dict[int, tuple[list, list]], dict[int, int], list[int]]:
         """The walk's plan, built once per base tree: each inner node's parts
         (`LeafSeq.parts`) at budgets 1 and 2, which serves every c > 1, as
-        (node, first leaf, children); each node's first leaf; and each leaf's
-        scope, the vertex mask of the bags on its root path, without `_add`."""
-        from .sequences import LeafSeq  # sequences imports this module
+        (node, first leaf, children), so x's first leaf is plan[x][0][0][1];
+        each leaf's scope, the vertex mask of its root path's bags, without
+        `_add`; and the root's leaves by depth (`sequences.leaf_depths`)."""
+        from .sequences import LeafSeq, leaf_depths  # sequences imports this module
         parts, children = LeafSeq(self, self.root, 1).parts, self._children
         scope, own, parent = {}, self._bag_masks, self._parent
         for x in self._order:  # parents first; the root's parent, None, has none
@@ -243,14 +242,8 @@ class BalancedTD(TreeDecomp):
                 one = [(sub, first[sub], children[sub]) for sub, _ in parts(x, 1)]
                 first[x] = one[0][1]  # a block at any c begins with the block at 1
                 plan[x] = one, [(sub, first[sub], children[sub]) for sub, _ in parts(x, 2)]
-        return plan, first, {x: m for x, m in scope.items() if not children[x]}
-
-    @cached_property
-    def leaf_depths(self) -> list[int]:
-        """The root's leaves counted by depth (`sequences.leaf_depths`), from
-        which the walk reads its schedule length; built once per base tree."""
-        from .sequences import leaf_depths
-        return leaf_depths(self, self.root)
+        leaves = {x: m for x, m in scope.items() if not children[x]}
+        return plan, leaves, leaf_depths(self, self.root)
 
     def parent(self, node: int) -> int | None:
         return self._parent[node]

@@ -120,7 +120,7 @@ class _Runner:
         self.g = g
         self.tree = tree
         add = tree._add or 0  # each leaf's scope: the plan's, plus an augment copy's vertices
-        self.scope_mask = scope = {f: m | add for f, m in tree.walk_plan[2].items()}
+        self.scope_mask = scope = {f: m | add for f, m in tree.walk_plan[1].items()}
         self.scope_size = {f: m.bit_count() for f, m in scope.items()}
         # state i is the vertex mask masks[i], of popcount pops[i]; closures[i]
         # is its successor closure once a step from it has missed the tables
@@ -199,8 +199,8 @@ class _Runner:
         inline: marks at a fixed leaf are monotone, so a leaf block stops
         at the first repeated state. A block's length does not depend on
         its states, so the walk counts none: the iterations are
-        `sequences.schedule_length` of t's leaves by depth, which the tree
-        keeps for its root (`BalancedTD.leaf_depths`) and any other t scans.
+        `sequences.schedule_length` of t's leaves by depth, which the walk
+        plan keeps for the root and any other t scans.
 
         An inner t's block runs at c = 1, 2, 4, ..., d in turn. The run at
         d alone would begin with the run at d/2, so the runs memoize
@@ -234,15 +234,16 @@ class _Runner:
         d too: past budget c, each part takes the steps it took by then.
         When no budget is stable, the runs go on up to d.
         """
-        if d < 1 or d & (d - 1):  # the budgets 1, 2, 4, ... must meet d
-            raise ValueError(f"{d} is not a positive power of 2")
+        tree = self.tree
+        plans, _, depths = tree.walk_plan
+        # the length first: it also checks that the budgets 1, 2, 4, ... meet d
+        iters = schedule_length(depths if t == tree.root else leaf_depths(tree, t), d)
         size = self.scope_size
         pops = self.pops
         step = self.step
         steps = self.steps
-        tree = self.tree
-        plans, first, _ = tree.walk_plan
-        plans = {**plans, None: ([(t, first[t], tree.ordered_children[t])],) * 2}
+        f = plans[t][0][0][1] if t in plans else t  # t's first leaf
+        plans = {**plans, None: ([(t, f, t in plans)],) * 2}
         memo = self.memo = {}
 
         def walk(t: int | None, c: int, i: int) -> tuple[int, int]:
@@ -278,7 +279,6 @@ class _Runner:
                 work += (c - 1 - n) * pops[i] * scope
             return i, work
 
-        f = first[t]
         i0 = self.state(initial)
         i = step(f, i0)
         # a stable budget h = c/2 pays off only when it spares the runs at 2c,
@@ -300,8 +300,7 @@ class _Runner:
         finally:
             del walk  # the closure refers to itself: break the cycle
         i, work = out
-        depths = tree.leaf_depths if t == tree.root else leaf_depths(tree, t)
-        return self.masks[i], schedule_length(depths, d), work + pops[i0] * size[f]
+        return self.masks[i], iters, work + pops[i0] * size[f]
 
     def _collapse(self, t: int, h: int, keys, i: int, d: int) -> tuple[int, int] | None:
         """(final state, work after the first step) of block (t, d) from

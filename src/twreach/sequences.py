@@ -7,9 +7,9 @@ universal sequence of order log2 d. By the same self-similarity, the block of
 an inner node t at budget d is the block of t at d/2, then each child's block
 at d, then the block of t at d/2 again. `LeafSeq.parts` states that rule once;
 the schedule's length, its elements by index and its stream all recurse
-through it, and nothing is ever materialized. The length also has a closed
-form over t's leaves by depth (`schedule_length`), which the marking walk
-reads instead of counting.
+through it, and nothing is ever materialized. The length has a closed form
+over t's leaves by depth (`schedule_length`), which the marking walk and the
+descent of `LeafSeq.element` read; `block_length` counts it as a reference.
 """
 from __future__ import annotations
 
@@ -138,6 +138,7 @@ class LeafSeq:
         self.t = t
         self.d = d
         self._len_cache: dict[tuple[int, int], int] = {}
+        self._depths: dict[int, list[int]] = {}
 
     def parts(self, t: int, d: int) -> list[tuple[int, int]]:
         """Sub-blocks of inner node t's block at budget d, in schedule order.
@@ -154,34 +155,32 @@ class LeafSeq:
         return [half, *kids, half]
 
     def block_length(self, t: int, d: int) -> int:
+        """Length of block (t, d) by the recurrence over `parts`, memoized: the
+        reference that the closed form `schedule_length` is checked against."""
         cache = self._len_cache
-        if (t, d) in cache:
-            return cache[t, d]
-        if not self.tree.children(t):
-            cache[t, d] = d
-            return d
-        # fill the missing budgets d, d/2, ... of t smallest first, so that each
-        # finds its (t, c/2) sub-blocks cached and the recursion only follows
-        # the children, however large d is
-        missing = []
-        while d and (t, d) not in cache:
-            missing.append(d)
-            d >>= 1
-        for c in reversed(missing):
-            cache[t, c] = sum(self.block_length(*part) for part in self.parts(t, c))
-        return cache[t, missing[0]]
+        if (t, d) not in cache:
+            cache[t, d] = (sum(self.block_length(*part) for part in self.parts(t, d))
+                           if self.tree.children(t) else d)
+        return cache[t, d]
+
+    def _size(self, t: int, d: int) -> int:
+        """Length of block (t, d) by `schedule_length`, over t's leaves by depth (kept per t)."""
+        if t not in self._depths:
+            self._depths[t] = leaf_depths(self.tree, t)
+        return schedule_length(self._depths[t], d)
 
     def __len__(self) -> int:
         return self.block_length(self.t, self.d)
 
     def element(self, r: int) -> int:
-        """Leaf node id at 1-based index r, by descent through the sub-blocks."""
+        """Leaf node id at 1-based index r, by descent through the sub-blocks,
+        each sized by the closed form: O(height + log2 d) steps."""
         t, d = self.t, self.d
-        if not 1 <= r <= self.block_length(t, d):
+        if not 1 <= r <= self._size(t, d):
             raise ValueError(f"index {r} out of range")
         while self.tree.children(t):
             for t, d in self.parts(t, d):  # descend into the part that holds r
-                size = self.block_length(t, d)
+                size = self._size(t, d)
                 if r <= size:
                     break
                 r -= size

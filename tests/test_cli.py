@@ -8,6 +8,7 @@ from twreach.decomp import BalancedTD, TdFormatError, parse_td, validate_td, wri
 from twreach.gen import KTreeSpec, gen_ktree
 from twreach.graph import GraphFormatError, parse_graph
 from twreach.recursive import build_balanced
+from twreach.sequences import leaf_depths, schedule_length
 
 PATH_GR = "p dgr 4 3\n1 2\n2 3\n3 4\n"
 PATH_TD = "c root 1\ns td 3 2 4\nb 1 1 2\nb 2 2 3\nb 3 3 4\n1 2\n2 3\n"
@@ -203,6 +204,23 @@ def test_lseq_huge_budget_is_fast(tmp_path, capsys):
     # far past the interpreter's recursion limit in halvings of the budget
     assert cli.main(["lseq", "--td", str(td), "--d", str(1 << 1200), "--r", "1"]) == 0
     assert int(capsys.readouterr().out) in leaves
+
+
+def test_lseq_at_the_budget_limit_is_fast(tmp_path, capsys):
+    # the balanced n=1024, k=3, seed-7 k-tree at d = 2^2048: each answer is
+    # a descent sized by the closed form, not a fill of every block length
+    g, t = gen_ktree(KTreeSpec(n=1024, k=3, seed=7))
+    td = tmp_path / "b.td"
+    td.write_text(write_td(build_balanced(g, t), n_vertices=g.n))
+    parsed = parse_td(td.read_text())
+    tree = BalancedTD(parsed.bags, [tuple(e) for e in parsed.edges], parsed.root)
+    d = cli.MAX_LSEQ_BUDGET
+    total = schedule_length(leaf_depths(tree, tree.root), d)
+    for r, leaf in ((123456789, 847), (total // 3, 492), (total, 1413)):
+        start = time.perf_counter()
+        assert cli.main(["lseq", "--td", str(td), "--d", str(d), "--r", str(r)]) == 0
+        assert time.perf_counter() - start < 2.0
+        assert int(capsys.readouterr().out) == leaf
 
 
 def test_lseq_budget_limit(path_files, capsys):

@@ -248,6 +248,26 @@ def test_reach_on_redundant_bags():
     assert reach(g, td, 1, 3)[0] and not reach(g, td, 3, 1)[0]
 
 
+def test_reach_below_many_empty_bags():
+    # ROADMAP item 4: a chain of 20,000 empty bags hung below the root of a
+    # k-tree's decomposition
+    g, td = gen_ktree(KTreeSpec(n=40, k=3, seed=5))
+    top = max(td.bags)
+    chain = range(top + 1, top + 20_001)
+    edges = [tuple(e) for e in td.edges] + [(td.root, chain[0])]
+    edges += [(x, x + 1) for x in chain[:-1]]
+    td = TreeDecomp({**td.bags, **dict.fromkeys(chain, ())}, edges, root=td.root)
+    assert validate_td(g, td).ok and td.depth() >= 20_000
+    rng = random.Random(5)
+    answers = set()
+    for _ in range(16):
+        u, v = rng.randint(1, g.n), rng.randint(1, g.n)
+        ok, _ = reach(g, td, u, v)
+        assert ok == bfs_reachable(g, u, v), (u, v)
+        answers.add(ok)
+    assert answers == {False, True}
+
+
 def test_reach_self():
     g, td = gen_ktree(KTreeSpec(n=6, k=1, seed=4))
     ok, _ = reach(g, td, 3, 3)
@@ -498,7 +518,7 @@ def test_runner_scopes_are_the_leaves_root_paths():
                 twice = aug.augment(rng.choice(sets))
                 for t in (tree, aug, twice):
                     runner, got = _Runner(g, t), scopes(t)
-                    assert t.walk_plan[2] == want and runner.scope_mask == got
+                    assert t.walk_plan[1] == want and runner.scope_mask == got
                     assert runner.scope_size == {f: m.bit_count() for f, m in got.items()}
 
 
@@ -570,8 +590,9 @@ def _reference_walk(g, tree, t, d, initial):
     (final mask, iterations, work, memo entries, its runner)."""
     runner = _Runner(g, tree)
     size, pops, step, steps = runner.scope_size, runner.pops, runner.step, runner.steps
-    plans, first, _ = tree.walk_plan
-    plans = {**plans, None: ([(t, first[t], tree.ordered_children[t])],) * 2}
+    plans = tree.walk_plan[0]
+    f = plans[t][0][0][1] if t in plans else t
+    plans = {**plans, None: ([(t, f, t in plans)],) * 2}
     memo = {}
 
     def walk(t, c, i):
@@ -605,7 +626,6 @@ def _reference_walk(g, tree, t, d, initial):
             length += b
         return i, work, length
 
-    f = first[t]
     i0 = runner.state(initial)
     i, work, length = walk(None, d, step(f, i0))
     return runner.masks[i], length + 1, work + pops[i0] * size[f], len(memo), runner

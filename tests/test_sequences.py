@@ -259,18 +259,49 @@ def test_schedule_length_is_exact_at_every_node(monkeypatch):
         assert any(len(tree.children(x)) == 1 for tree in trees[:13] for x in tree.bags)
         for base in trees:
             twice = base.augment({1}).augment({2})
-            assert twice.leaf_depths is base.leaf_depths
+            assert twice.walk_plan[2] is base.walk_plan[2]
             for tree in (base, twice):
                 for t in tree.preorder:
                     depths = leaf_depths(tree, t)
                     if t == tree.root:
-                        assert tree.leaf_depths == depths
+                        assert tree.walk_plan[2] == depths
                     for s in range(13):
                         d = 1 << s
                         assert schedule_length(depths, d) == len(LeafSeq(tree, t, d)), (t, d)
     for d in (0, 3):
         with pytest.raises(ValueError, match="power of 2"):
             schedule_length([1], d)
+
+
+def _reference_element(seq, r):
+    """`LeafSeq.element`'s descent with each part sized by the recurrence
+    (`block_length`) instead of the closed form."""
+    t, d = seq.t, seq.d
+    while seq.tree.children(t):
+        for t, d in seq.parts(t, d):
+            size = seq.block_length(t, d)
+            if r <= size:
+                break
+            r -= size
+    return t
+
+
+def test_element_matches_the_descent_sized_by_the_recurrence():
+    # balanced k-trees up to n=256, directed paths and random binary shapes,
+    # from the root and from a random node, at budgets up to 2^64: the first
+    # and last index and random ones between
+    rng = random.Random(24)
+    trees = [build_balanced(*gen_ktree(KTreeSpec(n=n, k=k, seed=n))) for n, k in
+             ((16, 1), (64, 2), (128, 3), (256, 3))]
+    trees += [build_balanced(*gen_path(n)) for n in (2, 9, 40)]
+    trees += [_random_binary_tree(rng, rng.randint(1, 30)) for _ in range(12)]
+    for tree in trees:
+        for t in (tree.root, rng.choice(tree.preorder)):
+            for s in (0, 1, 5, 17, 64):
+                seq = LeafSeq(tree, t, 1 << s)
+                total = seq.block_length(t, 1 << s)
+                for r in (1, total, *(rng.randint(1, total) for _ in range(20))):
+                    assert seq.element(r) == _reference_element(seq, r), (t, s, r)
 
 
 def test_lseq_every_leaf_appears():

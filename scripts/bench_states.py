@@ -20,7 +20,9 @@ Two more calls per side run under tracemalloc: `reach_balanced` on the
 augmented tree alone (`heap_peak_mib`, which leaves out what `augment` built
 for the walk), and a whole query, `augment({u, v})` of the balanced tree
 followed by `reach_balanced` (`query_heap_mib`; the base's walk plan is built
-beforehand, as it is for every query after a graph's first). The report of
+beforehand, as it is for every query after a graph's first). Each follows a
+full garbage collection too, so its peak depends on the code alone: an A/A
+run reads the same heap fields on both sides. The report of
 one more `reach_balanced` call gives the memo, step-table and state
 entries.
 
@@ -143,7 +145,9 @@ def timed_calls(tw, g, td, text, base, tree, u: int, v: int) -> dict:
 
 
 def heap_peak_mib(call) -> float:
-    """tracemalloc peak of one call, in MiB."""
+    """tracemalloc peak of one call, in MiB, after a full garbage collection,
+    so that the peak does not depend on when the cyclic collector fires."""
+    gc.collect()
     tracemalloc.start()
     try:
         call()

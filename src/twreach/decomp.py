@@ -11,6 +11,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .graph import DiGraph, VertexSet, members, text_lines, vertex_mask
+from .sequences import LeafSeq, leaf_depths
 
 
 class TdFormatError(ValueError):
@@ -230,7 +231,6 @@ class BalancedTD(TreeDecomp):
         (node, first leaf, children), so x's first leaf is plan[x][0][0][1];
         each leaf's scope, the vertex mask of its root path's bags, without
         `_add`; and the root's leaves by depth (`sequences.leaf_depths`)."""
-        from .sequences import LeafSeq, leaf_depths  # sequences imports this module
         parts, children = LeafSeq(self, self.root, 1).parts, self._children
         scope, own, parent = {}, self._bag_masks, self._parent
         for x in self._order:  # parents first; the root's parent, None, has none

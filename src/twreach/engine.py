@@ -35,7 +35,6 @@ tests compare it with: both give bit-identical results and accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .decomp import BalancedTD, TreeDecomp, validate_td
 from .graph import DiGraph, VertexSet, undirected_components, vset
@@ -282,17 +281,16 @@ class _Runner:
         i0 = self.state(initial)
         i = step(f, i0)
         # a stable budget h = c/2 pays off only when it spares the runs at 2c,
-        # 4c and 8c at least (measured), so checks need 8c <= d; a leaf's
-        # block, or any below d = 32, runs at d alone
-        c, mark = (1 if t in plans and d >= 32 else d), 0
+        # 4c and 8c at least (measured), so checks need 8c <= d and none runs
+        # below d = 32; a leaf's block has no memoized block and runs at d alone
+        c = 1 if t in plans else d
         try:
             while True:
-                before, mark = mark, len(memo)  # memo sizes before the runs at c/2 and c
                 out = walk(None, c, i)
                 if c == d:
                     break
                 if c >= 4 and 8 * c <= d:
-                    stable = self._collapse(t, c >> 1, islice(memo, before, None), i, d)
+                    stable = self._collapse(t, c >> 1, i, d)
                     if stable:
                         out = stable
                         break
@@ -302,22 +300,22 @@ class _Runner:
         i, work = out
         return self.masks[i], iters, work + pops[i0] * size[f]
 
-    def _collapse(self, t: int, h: int, keys, i: int, d: int) -> tuple[int, int] | None:
+    def _collapse(self, t: int, h: int, i: int, d: int) -> tuple[int, int] | None:
         """(final state, work after the first step) of block (t, d) from
         state i if budget h is stable (see `run_fast`), else None.
 
-        `keys` holds every memo key of budget h, in the memo's order, so a
-        block's child pairs come before it. Each pair's recipe is read off
-        its block at h: the first-step works and leaf terms K0 + c K1,
-        summed into `fixed` + c `slope`, its half pairs (read one level
-        down) and its child pairs (read at the same level).
+        S_h, the memo's keys at budget h (made by the runs at h and 2h), is
+        read in the memo's order, so a block's child pairs come before it.
+        Each pair's recipe is read off its block at h: the first-step works
+        and leaf terms K0 + c K1, summed into `fixed` + c `slope`, its half
+        pairs (one level down) and its child pairs (at the same level).
         """
         memo, steps, pops, size = self.memo, self.steps, self.pops, self.scope_size
         plans = self.tree.walk_plan[0]
         half = h >> 1
         if memo[t, h, i][0] != memo[t, half, i][0]:  # (a) on the run's own pair first
             return None
-        pairs = [(x, s) for x, b, s in keys if b == h]
+        pairs = [(x, s) for x, b, s in memo if b == h]
         index = {p: q for q, p in enumerate(pairs)}
         recipes = []
         for x, s in pairs:
@@ -356,8 +354,7 @@ class _Runner:
                 fixed -= (1 + n) * pops[j] * scope
                 slope += pops[j] * scope
             recipes.append((fixed, slope, halves, kids))
-        got = [memo[x, h, s] for x, s in pairs]
-        work = [w for _, w in got]
+        work = [memo[x, h, s][1] for x, s in pairs]
         c = h
         while c < d:
             c <<= 1
@@ -370,8 +367,7 @@ class _Runner:
                     w += nwork[q]
                 nwork.append(w)
             work = nwork
-        q = index[t, i]
-        return got[q][0], work[q]
+        return memo[t, h, i][0], work[index[t, i]]
 
 
 def _declared_bits(width: int, depth: int, n_nodes: int, n: int, seq_len: int) -> int:

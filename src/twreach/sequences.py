@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import comb
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .decomp import BalancedTD
+if TYPE_CHECKING:  # annotations only: decomp builds its walk plan from this module
+    from .decomp import BalancedTD
 
 
 def _check_pow2(d: int) -> int:

@@ -355,6 +355,20 @@ def test_negative_vertex_count_is_exit_2(tmp_path, capsys):
     assert "vertex count must be non-negative, line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gr_text, td_text, message", [
+    ("p dgr four 3\n1 2\n2 3\n3 4\n", PATH_TD, "non-integer token in header, line 1"),
+    (PATH_GR, PATH_TD.replace("s td 3 2 4\n", "s td 3 2 4\n" * 2), "duplicate header, line 3"),
+    (PATH_GR, PATH_TD.replace("2 4", "2 four"), "non-integer token in header, line 2"),
+    (PATH_GR, PATH_TD.replace("b 2 2 3", "b x 2 3"), "malformed bag line, line 4"),
+], ids=["graph-header-token", "td-duplicate-header", "td-header-token", "td-bag-line"])
+def test_format_errors_name_the_line(tmp_path, capsys, gr_text, td_text, message):
+    gr, td = tmp_path / "g.gr", tmp_path / "t.td"
+    gr.write_text(gr_text)
+    td.write_text(td_text)
+    assert cli.main(["validate", "--graph", str(gr), "--td", str(td)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_edge_line_with_extra_tokens_is_exit_2(tmp_path, capsys):
     gr = tmp_path / "g.gr"
     td = tmp_path / "t.td"

@@ -422,6 +422,12 @@ def test_parse_td_errors():
         parse_td("s td 2 1 2\nb 1 1\nb 2 2\n1 2 99\n")
     with pytest.raises(TdFormatError, match="no nodes"):
         parse_td("s td 0 0 0\n")
+    with pytest.raises(TdFormatError, match="duplicate header, line 2"):
+        parse_td("s td 1 1 1\ns td 1 1 1\nb 1 1\n")
+    with pytest.raises(TdFormatError, match="non-integer token in header, line 1"):
+        parse_td("s td 1 one 1\nb 1 1\n")
+    with pytest.raises(TdFormatError, match="malformed bag line, line 2"):
+        parse_td("s td 1 1 1\nb x 1\n")
 
 
 @pytest.mark.parametrize("text, line", [

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twreach import engine
 from twreach.decomp import BalancedTD, TreeDecomp, validate_td, write_td
@@ -237,6 +238,32 @@ def test_reach_matches_bfs_off_the_ktree_corpus():
     assert any(len({x for arc in g.arcs for x in arc}) < g.n for g, *_ in cases)  # isolated
     for g, td, u, v in cases:
         assert reach(g, td, u, v)[0] == bfs_reachable(g, u, v), (g, u, v)
+
+
+@st.composite
+def _rooted_digraphs(draw):
+    """A digraph on at most 9 vertices, its elimination decomposition rooted
+    at a drawn node, and a pair (u, v) in one component."""
+    n = draw(st.integers(1, 9))
+    vertex = st.integers(1, n)
+    g = DiGraph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)))
+    td = elimination_td(g)
+    root = draw(st.sampled_from(sorted(td.bags)))
+    td = TreeDecomp(td.bags, [tuple(e) for e in td.edges], root=root)
+    comp = draw(st.sampled_from(g.components))
+    return g, td, draw(st.sampled_from(comp)), draw(st.sampled_from(comp))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_rooted_digraphs())
+def test_reach_and_engines_agree_on_drawn_digraphs(case):
+    g, td, u, v = case
+    ok, auto = reach(g, td, u, v)
+    assert ok == bfs_reachable(g, u, v)
+    loop = reach(g, td, u, v, engine="loop")[1]
+    fields = ("reachable", "iterations", "relax_work", "peak_bits", "width_balanced",
+              "depth_balanced", "step_entries", "state_entries")
+    assert [getattr(auto, f) for f in fields] == [getattr(loop, f) for f in fields]
 
 
 def test_reach_on_redundant_bags():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,8 @@ def test_parse_errors():
         parse_graph("p dgr 2 0\np dgr 2 0\n")
     with pytest.raises(GraphFormatError, match="line 2"):
         parse_graph("p dgr 2 1\n1 x\n")
+    with pytest.raises(GraphFormatError, match="non-integer token in header, line 1"):
+        parse_graph("p dgr two 0\n")
 
 
 def test_parse_negative_vertex_count():
@@ -49,6 +52,14 @@ def test_parse_header_arc_count(text, line, message):
     with pytest.raises(GraphFormatError, match=f"{message}, line {line}") as exc:
         parse_graph(text)
     assert exc.value.line == line
+
+
+def test_digraph_rejects_bad_input():
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        DiGraph(-1, [])
+    for arc in ((0, 1), (1, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"arc {arc} endpoint out of range")):
+            DiGraph(2, [arc])
 
 
 def test_parse_dedups_and_ignores_comments():
@@ -130,6 +141,9 @@ def test_component_containing():
     assert component_containing(g, (), 1) == (1, 2, 3, 4)
     with pytest.raises(ValueError):
         component_containing(g, {3}, 3)
+    for r in (0, 5):
+        with pytest.raises(ValueError, match=f"vertex {r} out of range"):
+            component_containing(g, (), r)
 
 
 def test_component_containing_matches_components():
@@ -190,6 +204,9 @@ def test_bfs_reachable_basic():
     assert bfs_reachable(g, 1, 3)
     assert not bfs_reachable(g, 3, 1)
     assert bfs_reachable(g, 2, 2)
+    for u, v in ((0, 1), (1, 4)):
+        with pytest.raises(ValueError, match="query vertex out of range"):
+            bfs_reachable(g, u, v)
 
 
 def _closure_matrix(g):

@@ -1,5 +1,6 @@
 """Package layout: what its modules import from each other, and what it exports."""
 import ast
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import twreach
@@ -28,3 +29,30 @@ def test_test_only_oracles_stay_in_the_engine():
     for name in ("AncestorOrder", "GadView", "ancestor_vertices", "gad_view"):
         assert name not in twreach.__all__ and not hasattr(twreach, name)
         assert hasattr(twreach.engine, name)
+
+
+def _runtime_imports(path):
+    """The twreach modules that the file imports when it runs: every import,
+    in a function or not, outside `if TYPE_CHECKING:` blocks."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    typing_only = {id(node) for block in ast.walk(tree) if isinstance(block, ast.If)
+                   and getattr(block.test, "id", None) == "TYPE_CHECKING"
+                   for stmt in block.body for node in ast.walk(stmt)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and id(node) not in typing_only:
+            if node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+            elif (node.module or "").startswith("twreach."):
+                names = [node.module.removeprefix("twreach.")]
+            else:
+                continue
+            out.update(name.split(".")[0] for name in names)
+    return out
+
+
+def test_run_time_imports_are_acyclic():
+    graph = {path.stem: _runtime_imports(path) for path in PACKAGE.glob("*.py")}
+    # the leaves of the layering: the graph type and the universal sequences
+    assert graph["graph"] == set() and graph["sequences"] == set()
+    TopologicalSorter(graph).prepare()  # raises CycleError on a cycle

@@ -6,14 +6,14 @@ import pytest
 
 from twreach import recursive, separator
 from twreach.decomp import TreeDecomp, binarize_balance, validate_td, write_td
-from twreach.gen import KTreeSpec, gen_ktree, gen_path
+from twreach.gen import KTreeSpec, elimination_td, gen_ktree, gen_path
 from twreach.graph import DiGraph, component_containing, undirected_components, vset
 from twreach.recursive import (RDContext, RDNode, build_balanced,
                                build_hat_decomposition, hat_bag,
                                materialize_rd, rd_children)
 from twreach.separator import sep
 
-from test_separator import _instances, _und_adj
+from test_separator import _instances, _random_graph, _und_adj, _variant
 
 PATH_G, PATH_T = gen_path(4)  # 1 -> 2 -> 3 -> 4, bags {1,2}, {2,3}, {3,4} from root 1
 
@@ -68,6 +68,9 @@ def test_rd_malformed_node():
         rd_children(ctx, RDNode((2,), 2))
     with pytest.raises(ValueError, match="malformed"):
         hat_bag(ctx, RDNode((2,), 2))
+    for v0 in (0, 5):
+        with pytest.raises(ValueError, match=f"root representative {v0} out of range"):
+            RDContext(PATH_G, PATH_T, v0)
 
 
 def _rd_invariants(g, td, v0):
@@ -110,6 +113,37 @@ def test_hat_bounds_random_ktrees():
         n_comp = len(comp0)
         if n_comp > 1:
             assert hat.depth() <= math.ceil(math.log2(n_comp))
+
+
+def _shape_instances(rng):
+    """Off the k-tree corpus: directed paths with their path decompositions,
+    and elimination decompositions of random digraphs with self-loops; each
+    also with padded bags, subset leaves and relabelled ids, left unrooted."""
+    cases = [gen_path(n) for n in (*range(1, 40), 64, 100, 200)]
+    for _ in range(200):
+        g = _random_graph(rng)
+        loop = rng.randint(1, g.n)
+        g = DiGraph(g.n, [*g.arcs, (loop, loop)])
+        cases.append((g, elimination_td(g)))
+    return [case for g, td in cases for case in ((g, td), (g, _variant(td, rng)))]
+
+
+def test_paper_bounds_off_the_ktree_corpus():
+    # criteria 2-4 (recursive decomposition, hat, binarizer) on other shapes
+    for g, td in _shape_instances(random.Random(25)):
+        w = td.width()
+        for comp in undirected_components(g):
+            ctx, _ = _rd_invariants(g, td, min(comp))
+            hat = build_hat_decomposition(ctx)
+            assert validate_td(g, hat, vertices=comp).ok
+            assert hat.width() <= 6 * w + 6
+            assert hat.depth() <= (math.ceil(math.log2(len(comp))) if len(comp) > 1 else 0)
+            out = binarize_balance(hat)
+            assert all(len(out.children(x)) <= 2 for x in out.bags)
+            assert validate_td(g, out, vertices=comp).ok
+            assert out.width() <= 3 * (hat.width() + 1) - 1
+            nodes = len(hat.bags)
+            assert out.depth() <= (2 * math.ceil(math.log2(nodes)) + 1 if nodes > 1 else 0)
 
 
 def test_build_balanced_pipeline_bounds():

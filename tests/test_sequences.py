@@ -128,6 +128,8 @@ def test_lseq_rejects_bad_d():
         LeafSeq(tree, 1, 3)
     with pytest.raises(ValueError, match="power of 2"):
         lseq_length(2, 0)
+    with pytest.raises(ValueError, match="height must be non-negative"):
+        lseq_length(-1, 2)
     with pytest.raises(ValueError, match="unknown node"):
         LeafSeq(tree, 99, 2)
 

@@ -6,10 +6,11 @@ on the k-tree grid, and their balancing on decompositions of other shapes.
 
 Each argument names a side (a commit, say) and the `src` directory holding
 its `twreach` package. Both are imported side by side in one process (as
-`twreach_parent` and `twreach_change`). For each n of the grid (k=3, seed 7,
-the query pair drawn as `gen.bench_one` draws it) each side balances and
-augments once; then each round times, per side, one `reach_balanced` call on
-the augmented tree, one `augment({u, v})` of the balanced tree alone, one
+`twreach_parent` and `twreach_change`). For each n of the grid, the change
+side's `gen.bench_query` draws the k-tree (k=3, seed 7) and the query pair;
+each side rebuilds that instance in its own classes, balances and augments
+it once; then each round times, per side, one `reach_balanced` call on the
+augmented tree, one `augment({u, v})` of the balanced tree alone, one
 `augment({u, v})` followed by `reach_balanced` (what a query on an already
 balanced graph costs), one `parse_td` of the instance's `.td` text (the
 set-up of perfbench's ktree-cold and small-mixed) and one `build_balanced`.
@@ -19,29 +20,27 @@ n, alternating parent and change call by call, parent first on even rounds.
 Two more calls per side run under tracemalloc: `reach_balanced` on the
 augmented tree alone (`heap_peak_mib`, which leaves out what `augment` built
 for the walk), and a whole query, `augment({u, v})` of the balanced tree
-followed by `reach_balanced` (`query_heap_mib`; the base's walk plan is built
-beforehand, as it is for every query after a graph's first). Each follows a
-full garbage collection too, so its peak depends on the code alone: an A/A
-run reads the same heap fields on both sides. The report of
-one more `reach_balanced` call gives the memo, step-table and state
-entries.
+followed by `reach_balanced` (`query_heap_mib`; the base's walk plan is
+built beforehand, as it is for every query after a graph's first). Each
+follows a full garbage collection too, so its peak depends on the code
+alone: an A/A run reads the same heap fields on both sides. The report of
+one more `reach_balanced` call gives the memo, step-table and state entries.
 
-Then come the shape families (`SHAPES`): a directed path with its path
-decomposition rooted at one end (`gen.gen_path`), and grids and sparse
-random graphs (m = 1.1n undirected pairs) with random arc directions and
-their min-degree elimination decompositions (`gen.elimination_td`). The
-change side's `gen` writes each instance's `.gr` and `.td` text once; each
-side parses both texts and times `build_balanced` on them, alternating as
-above, in `RUNS` rounds, and each row reports the change's pair wins. An A/A
-run (one commit's `src` on both sides, 2-vCPU host, Python 3.11.7) read
-balance_time_ratio_median 0.965-1.013 on the shape rows, with 5-10 pair
-wins of 15; on the grid it read time_ratio_median 0.945-1.005 (5-13 wins)
-and balance_time_ratio_median 0.992-1.030 (4-12 wins). So a ratio inside
-about 0.94-1.05 with 4-13 wins of 15 is noise. It exits 1 when the two
-sides' answers, accounting, balanced trees (of the grid or of a family),
-step or state entries differ. Memo entries are reported per side and may
-differ: a walk that collapses its budget axis memoizes fewer blocks for the
-same answer.
+Then come the shape families (`SHAPES`), which the change side's
+`gen.gen_shape` draws at seed 7 and writes as `.gr` and `.td` text once;
+each side parses both texts and times `build_balanced` on them, alternating
+as above, in `RUNS` rounds, and each row reports the change's pair wins.
+Three A/A runs (one commit's `src` on both sides, 2-vCPU host, Python
+3.11.7, nothing else running) read, over all rows of each kind: grid
+time_ratio_median 0.970-1.031 (5-11 pair wins of 15), grid
+balance_time_ratio_median 0.970-1.034 (5-11 wins) and shape
+balance_time_ratio_median 0.957-1.046 (4-12 wins). A run whose balancing
+code did not change then read one grid row at 1.055 and one shape row at
+1.061. So a ratio inside about 0.95-1.06 with 4-12 wins of 15 is noise. It
+exits 1 when the two sides' answers, accounting, balanced trees (of the grid
+or of a family), step or state entries differ. Memo entries are reported per
+side and may differ: a walk that collapses its budget axis memoizes fewer
+blocks for the same answer.
 """
 from __future__ import annotations
 
@@ -51,7 +50,6 @@ import importlib.util
 import json
 import os
 import platform
-import random
 import statistics
 import sys
 import time
@@ -78,33 +76,20 @@ def load(name: str, src: str):
             for sub in ("decomp", "engine", "gen", "graph", "recursive")}
 
 
-def prepare(tw, n: int):
-    spec = tw["gen"].KTreeSpec(n=n, k=K, seed=SEED)
-    g, td = tw["gen"].gen_ktree(spec)
-    rng = random.Random(spec.seed ^ 0x5EED)
-    u = rng.randrange(1, n + 1)
-    v = rng.randrange(1, n + 1)
+def prepare(tw, query):
+    """Package tw's copy of a gen.bench_query instance, balanced and augmented."""
+    g, td, u, v = query
+    g = tw["graph"].DiGraph(g.n, g.arcs)
+    td = tw["decomp"].TreeDecomp(td.bags, td.edges, root=td.root)
     base = tw["recursive"].build_balanced(g, td)
-    text = tw["decomp"].write_td(td, n_vertices=n)
+    text = tw["decomp"].write_td(td, n_vertices=g.n)
     return g, td, text, base, base.augment({u, v}), u, v
 
 
 def shape_texts(tw, family: str, n: int) -> tuple[str, str]:
-    """The .gr and .td texts of one shape instance, written by package tw."""
-    gen, graph = tw["gen"], tw["graph"]
-    if family == "path":
-        g, td = gen.gen_path(n)
-    else:
-        rng = random.Random(SHAPE_SEED * 1000003 + n)
-        if family == "grid":
-            side = round(n ** 0.5)
-            und = [(v, v + 1) for v in range(1, n + 1) if v % side]
-            und += [(v, v + side) for v in range(1, n - side + 1)]
-        else:
-            und = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(round(1.1 * n))]
-        g = graph.DiGraph(n, [(a, b) if rng.random() < 0.5 else (b, a) for a, b in und])
-        td = gen.elimination_td(g)
-    return graph.write_graph(g), tw["decomp"].write_td(td, n_vertices=n)
+    """The .gr and .td texts of one gen.gen_shape instance, written by package tw."""
+    g, td = tw["gen"].gen_shape(family, n, SHAPE_SEED)
+    return tw["graph"].write_graph(g), tw["decomp"].write_td(td, n_vertices=n)
 
 
 def shape_rows(sides: dict) -> dict:
@@ -188,7 +173,7 @@ FIELDS = {
     "balance_time_ratio_median": "time_ratio_median of the balance_s calls",
     "balance_pair_wins": "pair_wins of the balance_s calls",
     "balanced_sha1": "first 12 hex digits of the SHA-1 of write_td(build_balanced(g, td))",
-    "family": "shapes: path (gen.gen_path), grid or sparse (gen.elimination_td of the graph)",
+    "family": "shapes: the gen.gen_shape family, path, grid or sparse",
     "width_input": "shapes: width of the input decomposition",
 }
 
@@ -213,8 +198,10 @@ def main(argv: list[str]) -> int:
     sides = {"parent": load("twreach_parent", parent_src),
              "change": load("twreach_change", change_src)}
     rows: dict[str, list] = {side: [] for side in sides}
+    gen = sides["change"]["gen"]
     for n in GRID:
-        inputs = {side: prepare(tw, n) for side, tw in sides.items()}
+        query = gen.bench_query(gen.KTreeSpec(n=n, k=K, seed=SEED))
+        inputs = {side: prepare(tw, query) for side, tw in sides.items()}
         calls = {side: timed_calls(tw, *inputs[side]) for side, tw in sides.items()}
         times = {side: {kind: [] for kind in calls[side]} for side in sides}
         for r in range(RUNS):

@@ -10,7 +10,8 @@ covering them vacuously.
 
 `gen_path` and `elimination_td` give the shapes a k-tree never has: a path
 decomposition as deep as the graph, and the decomposition of any graph by
-a min-degree elimination order.
+a min-degree elimination order. `gen_shape` draws the benchmark's shapes
+and `corpus` the tests' small instances, from one grid and one orientation.
 
 Randomness comes from random.Random (Mersenne Twister), so a fixed seed
 reproduces byte-identical corpora across platforms.
@@ -103,6 +104,83 @@ def elimination_td(g: DiGraph) -> TreeDecomp:
     return TreeDecomp({i + 1: b for i, b in enumerate(bags)}, edges)
 
 
+def _oriented(rng: random.Random, n: int, und: list[tuple[int, int]]) -> DiGraph:
+    """One arc per undirected pair of und, its direction by a fair coin."""
+    return DiGraph(n, [(a, b) if rng.random() < 0.5 else (b, a) for a, b in und])
+
+
+def _grid(rng: random.Random, n: int, cols: int) -> DiGraph:
+    """Vertices 1..n in rows of `cols`, one arc between each two grid neighbours."""
+    und = [(v, v + 1) for v in range(1, n + 1) if v % cols]
+    und += [(v, v + cols) for v in range(1, n - cols + 1)]
+    return _oriented(rng, n, und)
+
+
+def _sparse(rng: random.Random, n: int, m: int) -> DiGraph:
+    """One arc for each of m uniformly random vertex pairs, loops and repeats kept."""
+    return _oriented(rng, n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(m)])
+
+
+def gen_shape(family: str, n: int, seed: int) -> tuple[DiGraph, TreeDecomp]:
+    """A benchmark instance off the k-trees: "path" is `gen_path(n)`; "grid"
+    (side round(sqrt(n))) and "sparse" (round(1.1 n) random pairs) draw from
+    random.Random(seed * 1000003 + n) and come with `elimination_td`."""
+    if family == "path":
+        return gen_path(n)
+    if family not in ("grid", "sparse"):
+        raise ValueError(f"unknown family {family!r}")
+    rng = random.Random(seed * 1000003 + n)
+    g = _grid(rng, n, round(n ** 0.5)) if family == "grid" else _sparse(rng, n, round(1.1 * n))
+    return g, elimination_td(g)
+
+
+def _random_graph(rng: random.Random) -> DiGraph:
+    """A small sparse, grid or disconnected digraph."""
+    kind = rng.choice(["sparse", "grid", "disconnected"])
+    if kind == "grid":
+        rows, cols = rng.randint(1, 5), rng.randint(2, 6)
+        return _grid(rng, rows * cols, cols)
+    n = rng.randint(1, 24)
+    return _sparse(rng, n, rng.randint(0, n + n // 2 if kind == "sparse" else n // 2))
+
+
+def variant(t: TreeDecomp, rng: random.Random) -> TreeDecomp:
+    """t with padded bags, redundant subset leaves and randomly relabelled ids."""
+    bags = {x: set(b) for x, b in t.bags.items()}
+    edges = [tuple(e) for e in t.edges]
+    adj = {x: t.neighbors(x) for x in bags}
+    for x in rng.sample(sorted(bags), len(bags) // 3):
+        # padding with a vertex of a neighbouring bag keeps occurrences connected
+        y = rng.choice(adj[x]) if adj[x] else x
+        if bags[y]:
+            bags[x].add(rng.choice(sorted(bags[y])))
+    fresh = max(bags) + 1
+    for x in rng.sample(sorted(bags), len(bags) // 4):
+        bags[fresh] = set(rng.sample(sorted(bags[x]), rng.randint(0, len(bags[x]))))
+        edges.append((x, fresh))
+        fresh += 1
+    ids = rng.sample(range(1, 3 * len(bags) + 1), len(bags))
+    rename = dict(zip(sorted(bags), ids))
+    return TreeDecomp({rename[x]: b for x, b in bags.items()},
+                      [(rename[a], rename[b]) for a, b in edges])
+
+
+def corpus(rng: random.Random):
+    """The tests' (graph, decomposition) pairs: 120 small k-trees and 200
+    elimination decompositions of small digraphs, each then its `variant`.
+    It draws from rng lazily, so a caller's draws between instances count."""
+    for seed in range(120):
+        g, td = gen_ktree(KTreeSpec(n=rng.randint(5, 24), k=1 + seed % 4, seed=seed,
+                                    arc_probability=rng.choice([0.2, 0.5, 0.9])))
+        yield g, td
+        yield g, variant(td, rng)
+    for _ in range(200):
+        g = _random_graph(rng)
+        td = elimination_td(g)
+        yield g, td
+        yield g, variant(td, rng)
+
+
 @dataclass
 class BenchRecord:
     n: int
@@ -118,11 +196,15 @@ class BenchRecord:
         return ",".join(str(getattr(self, f)) for f in BENCH_FIELDS)
 
 
-def bench_one(spec: KTreeSpec) -> BenchRecord:
+def bench_query(spec: KTreeSpec) -> tuple[DiGraph, TreeDecomp, int, int]:
+    """The k-tree of spec and the pair (u, v) that `bench_one` asks about."""
     g, td = gen_ktree(spec)
     rng = random.Random(spec.seed ^ 0x5EED)
-    u = rng.randrange(1, spec.n + 1)
-    v = rng.randrange(1, spec.n + 1)
+    return g, td, rng.randrange(1, spec.n + 1), rng.randrange(1, spec.n + 1)
+
+
+def bench_one(spec: KTreeSpec) -> BenchRecord:
+    g, td, u, v = bench_query(spec)
     start = time.perf_counter()
     _, report = reach(g, td, u, v)
     elapsed = time.perf_counter() - start

@@ -12,11 +12,9 @@ import random
 
 from twreach.decomp import (TreeDecomp, _build_struct, _Struct, binarize_balance,
                             materialize_struct, write_td)
-from twreach.gen import KTreeSpec, gen_ktree
+from twreach.gen import KTreeSpec, corpus, gen_ktree
 from twreach.graph import undirected_components
 from twreach.recursive import RDContext, build_hat_decomposition
-
-from test_separator import _instances
 
 
 def _search(adj, start, avoid=None):
@@ -152,7 +150,7 @@ def _corpus():
         yield _relabel(bags, edges, lambda i: 7 * shuffled[i - 1] + 3)
     # hat decompositions, the binarizer's input inside build_balanced
     graphs = [gen_ktree(KTreeSpec(n=n, k=k, seed=7)) for n, k in ((64, 3), (128, 2), (256, 3))]
-    for g, td in graphs + list(_instances(random.Random(3))):
+    for g, td in graphs + list(corpus(random.Random(3))):
         for comp in undirected_components(g):
             yield build_hat_decomposition(RDContext(g, td, min(comp)))
 

@@ -6,11 +6,9 @@ import pytest
 
 from twreach.decomp import (BalancedTD, TdFormatError, TreeDecomp, ValidityReport,
                             binarize_balance, parse_td, validate_td, write_td)
-from twreach.gen import KTreeSpec, gen_ktree, gen_path
+from twreach.gen import KTreeSpec, corpus, gen_ktree, gen_path
 from twreach.graph import DiGraph, bfs_reachable, undirected_components
 from twreach.recursive import build_balanced
-
-from test_separator import _instances
 
 PATH_G, PATH_T = gen_path(4)  # 1 -> 2 -> 3 -> 4, bags {1,2}, {2,3}, {3,4} from root 1
 
@@ -189,7 +187,7 @@ def _damaged(t, n, rng):
 def test_validate_matches_all_bags_scan():
     rng = random.Random(99)
     seen = set()
-    for g, t in _instances(random.Random(3)):
+    for g, t in corpus(random.Random(3)):
         cases = [t, _damaged(t, g.n, rng), _damaged(t, g.n, rng)]
         for case in cases:
             comps = undirected_components(g)

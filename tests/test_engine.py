@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twreach import engine
-from twreach.decomp import BalancedTD, TreeDecomp, validate_td, write_td
+from twreach.decomp import BalancedTD, TreeDecomp, binarize_balance, validate_td, write_td
 from twreach.engine import (AncestorOrder, ReachReport, _Runner, ancestor_vertices,
                             gad_view, reach, reach_balanced)
-from twreach.gen import KTreeSpec, elimination_td, gen_ktree, gen_path
-from twreach.graph import DiGraph, bfs_reachable, vertex_mask
+from twreach.gen import KTreeSpec, bench_query, corpus, elimination_td, gen_ktree, gen_path
+from twreach.graph import DiGraph, bfs_reachable, undirected_components, vertex_mask
 from twreach.recursive import build_balanced
 from twreach.sequences import LeafSeq
 
@@ -275,6 +275,23 @@ def test_reach_on_redundant_bags():
     assert reach(g, td, 1, 3)[0] and not reach(g, td, 3, 1)[0]
 
 
+def test_reach_on_direct_balancing():
+    # ROADMAP item 8: binarize_balance of the rooted input, not of the hat
+    # decomposition, is a second balanced tree of another shape for the same
+    # query, and the walk on it must give the same answer
+    rng = random.Random(8)
+    for g, td in [*corpus(random.Random(3)), *(gen_path(n) for n in (1, 2, 7, 40))]:
+        root = td.root if td.root is not None else rng.choice(sorted(td.bags))
+        direct = binarize_balance(TreeDecomp(td.bags, [tuple(e) for e in td.edges], root=root))
+        assert validate_td(g, direct).ok
+        comp = rng.choice(undirected_components(g))
+        for _ in range(3):
+            u, v = rng.choice(comp), rng.choice(comp)
+            want = bfs_reachable(g, u, v)
+            assert reach_balanced(g, direct.augment({u, v}), u, v) == want, (u, v)
+            assert reach(g, td, u, v)[0] == want, (u, v)
+
+
 def test_reach_below_many_empty_bags():
     # ROADMAP item 4: a chain of 20,000 empty bags hung below the root of a
     # k-tree's decomposition
@@ -359,16 +376,6 @@ def test_engine_selection():
         reach(g, td, 1, 8, engine="quantum")
 
 
-def _bench_query(n):
-    """The gen.bench_one instance at k=3, seed 7: (graph, decomposition, u, v)."""
-    spec = KTreeSpec(n=n, k=3, seed=7)
-    g, td = gen_ktree(spec)
-    rng = random.Random(spec.seed ^ 0x5EED)
-    u = rng.randrange(1, n + 1)
-    v = rng.randrange(1, n + 1)
-    return g, td, u, v
-
-
 # distinct states the walk interns on the query below, and its memo entries:
 # the walk memoizes budgets up to 8 and collapses the rest
 _STATE_ENTRIES = {64: 49, 256: 278, 1024: 848}
@@ -384,7 +391,7 @@ def test_bench_query_accounting(n, want, reference_memo_entries):
     # the gen.bench_one query at k=3, seed 7: a walk change that moves the
     # accounting or which blocks are memoized fails here. The uncollapsed
     # walk memoizes every budget up to d, for the same accounting
-    g, td, u, v = _bench_query(n)
+    g, td, u, v = bench_query(KTreeSpec(n=n, k=3, seed=7))
     _, rep = reach(g, td, u, v)
     assert (rep.reachable, rep.iterations, rep.relax_work, rep.peak_bits) == want
     assert (rep.memo_entries, rep.state_entries) == (_MEMO_ENTRIES[n], _STATE_ENTRIES[n])
@@ -397,7 +404,7 @@ def test_bench_query_accounting(n, want, reference_memo_entries):
 def test_walk_steps_each_pair_once(n, calls):
     # the walk looks the step cache up itself and calls step only on a miss,
     # so on a fresh runner each (leaf, state) pair is computed exactly once
-    g, td, u, v = _bench_query(n)
+    g, td, u, v = bench_query(KTreeSpec(n=n, k=3, seed=7))
     tree = build_balanced(g, td).augment({u, v})
     runner = _Runner(g, tree)
     seen = []
@@ -495,7 +502,7 @@ def test_walk_first_leaf_is_schedule_start(monkeypatch):
 def test_walk_closes_each_state_once(n):
     # a state's successor closure is computed on its first step-cache miss
     # and kept: once per distinct state stepped from, never per (leaf, state)
-    g, td, u, v = _bench_query(n)
+    g, td, u, v = bench_query(KTreeSpec(n=n, k=3, seed=7))
     tree = build_balanced(g, td).augment({u, v})
     runner = _Runner(g, tree)
     closed = []
@@ -588,7 +595,7 @@ def test_walk_reads_each_plan_once(monkeypatch):
     # inner node's parts once per budget class (1 and 2) and never a leaf's,
     # and leaves the plan on the base; a query on another copy then reads
     # parts zero times, and no query builds its copy's bags
-    g, td, u, v = _bench_query(256)
+    g, td, u, v = bench_query(KTreeSpec(n=256, k=3, seed=7))
     queries = [(u, v), (v, u), (1, g.n)]
     want = [reach_balanced(g, build_balanced(g, td).augment({a, b}), a, b, report=True)
             for a, b in queries]

@@ -2,7 +2,7 @@ import pytest
 
 from twreach.decomp import validate_td
 from twreach.gen import (BENCH_FIELDS, BenchRecord, KTreeSpec, bench,
-                         bench_csv, bench_one, elimination_td, gen_ktree, gen_path)
+                         bench_csv, bench_one, bench_query, elimination_td, gen_ktree, gen_path)
 from twreach.graph import DiGraph, bfs_reachable
 from twreach.sequences import LeafSeq
 from twreach.recursive import build_balanced
@@ -54,10 +54,8 @@ def test_bench_one_record():
     rec = bench_one(spec)
     assert rec.n == 12 and rec.k == 2 and rec.width_input == 2
     assert rec.iterations > 0 and rec.peak_bits > 0 and rec.wall_time >= 0
-    # reproducible query pair
-    g, td = gen_ktree(spec)
-    rng = random.Random(spec.seed ^ 0x5EED)
-    u, v = rng.randrange(1, 13), rng.randrange(1, 13)
+    # the record is of bench_query's pair
+    g, td, u, v = bench_query(spec)
     tree = build_balanced(g, td).augment({u, v})
     assert rec.width_balanced == tree.width()
     assert rec.depth_balanced == tree.depth()

@@ -56,3 +56,15 @@ def test_run_time_imports_are_acyclic():
     # the leaves of the layering: the graph type and the universal sequences
     assert graph["graph"] == set() and graph["sequences"] == set()
     TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def test_no_test_module_imports_from_a_test_module():
+    # shared instances come from twreach.gen, so each test module stands alone
+    paths = sorted(Path(__file__).parent.glob("test_*.py"))
+    assert len(paths) > 5
+    found = [(path.name, name) for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             for name in ([node.module or ""] if isinstance(node, ast.ImportFrom) else
+                          [a.name for a in node.names] if isinstance(node, ast.Import) else [])
+             if name.startswith("test_")]
+    assert found == []

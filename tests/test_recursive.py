@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from twreach import recursive, separator
-from twreach.decomp import TreeDecomp, binarize_balance, validate_td, write_td
-from twreach.gen import KTreeSpec, elimination_td, gen_ktree, gen_path
-from twreach.graph import DiGraph, component_containing, undirected_components, vset
+from twreach import gen, recursive, separator
+from twreach.decomp import TreeDecomp, binarize_balance, parse_td, validate_td, write_td
+from twreach.gen import (KTreeSpec, corpus, elimination_td, gen_ktree, gen_path, gen_shape,
+                         variant)
+from twreach.graph import (DiGraph, component_containing, members, parse_graph,
+                           undirected_components, vset, write_graph)
 from twreach.recursive import (RDContext, RDNode, build_balanced,
                                build_hat_decomposition, hat_bag,
                                materialize_rd, rd_children)
 from twreach.separator import sep
-
-from test_separator import _instances, _random_graph, _und_adj, _variant
 
 PATH_G, PATH_T = gen_path(4)  # 1 -> 2 -> 3 -> 4, bags {1,2}, {2,3}, {3,4} from root 1
 
@@ -121,11 +121,11 @@ def _shape_instances(rng):
     also with padded bags, subset leaves and relabelled ids, left unrooted."""
     cases = [gen_path(n) for n in (*range(1, 40), 64, 100, 200)]
     for _ in range(200):
-        g = _random_graph(rng)
+        g = gen._random_graph(rng)
         loop = rng.randint(1, g.n)
         g = DiGraph(g.n, [*g.arcs, (loop, loop)])
         cases.append((g, elimination_td(g)))
-    return [case for g, td in cases for case in ((g, td), (g, _variant(td, rng)))]
+    return [case for g, td in cases for case in ((g, td), (g, variant(td, rng)))]
 
 
 def test_paper_bounds_off_the_ktree_corpus():
@@ -184,6 +184,20 @@ def test_balanced_trees_pinned():
         g, td = gen_ktree(KTreeSpec(n=n, k=3, seed=7))
         text = write_td(build_balanced(g, td))
         assert hashlib.sha1(text.encode()).hexdigest()[:12] == prefix, n
+
+
+def test_shape_balanced_trees_pinned():
+    # gen_shape's instances off the k-trees at seed 7, read back from their
+    # texts as scripts/bench_states.py reads them: write_td renumbers ids,
+    # and sep picks bags by id
+    for family, n, prefix in (("path", 250, "6061c85de578"), ("grid", 64, "252b4e8cb185"),
+                              ("sparse", 150, "d1b7d870b6c0")):
+        g, td = gen_shape(family, n, 7)
+        g, td = parse_graph(write_graph(g)), parse_td(write_td(td, n_vertices=n))
+        text = write_td(build_balanced(g, td))
+        assert hashlib.sha1(text.encode()).hexdigest()[:12] == prefix, family
+    with pytest.raises(ValueError, match="unknown family"):
+        gen_shape("cycle", 8, 7)
 
 
 def test_build_balanced_joins_component_hats():
@@ -278,7 +292,7 @@ def _rd_children_by_lists(ctx, node):
     comp = ctx.component_of(node)
     zp = set(node.z) | set(ctx.sep_of(node.z).separator) | set(ctx.sep_of(comp).separator)
     remaining = set(comp) - zp
-    adj = _und_adj(ctx.g)
+    adj = {v: members(ctx.g.und_mask[v]) for v in range(1, ctx.g.n + 1)}
     children, seen = [], set()
     for s in sorted(remaining):
         if s in seen:
@@ -307,7 +321,7 @@ def _rd_outcome(fn, ctx, node):
 def test_rd_children_matches_adjacency_lists():
     rng = random.Random(11)
     outcomes = []
-    for g, td in _instances(random.Random(5)):
+    for g, td in corpus(random.Random(5)):
         # a copy with one vertex dropped from one bag is usually invalid
         bags = {x: set(b) for x, b in td.bags.items()}
         x = rng.choice([x for x in bags if bags[x]])
@@ -353,7 +367,7 @@ def _full_hat_decomposition(ctx):
 def _differential_instances():
     for n, k, p in ((64, 3, 0.5), (128, 2, 0.2), (200, 4, 0.9), (256, 3, 0.5)):
         yield gen_ktree(KTreeSpec(n=n, k=k, seed=7, arc_probability=p))
-    yield from _instances(random.Random(3))
+    yield from corpus(random.Random(3))
 
 
 def test_hat_decomposition_matches_full_recursion(monkeypatch):

@@ -4,8 +4,8 @@ import pytest
 
 from twreach import recursive, separator
 from twreach.decomp import TreeDecomp, validate_td
-from twreach.gen import KTreeSpec, elimination_td, gen_ktree, gen_path
-from twreach.graph import DiGraph, grow, undirected_components, vertex_mask, vset
+from twreach.gen import KTreeSpec, corpus, gen_ktree, gen_path
+from twreach.graph import DiGraph, grow, members, undirected_components, vertex_mask, vset
 from twreach.recursive import build_balanced
 from twreach.separator import SeparatorResult, is_balanced_separator, sep
 
@@ -125,63 +125,11 @@ def _assert_sep_matches_oracle(g, t, u):
     assert sep(g, t, u) == want, (sorted(t.bags), vset(u))
 
 
-def _variant(t, rng):
-    """t with padded bags, redundant subset leaves and randomly relabelled ids."""
-    bags = {x: set(b) for x, b in t.bags.items()}
-    edges = [tuple(e) for e in t.edges]
-    adj = {x: t.neighbors(x) for x in bags}
-    for x in rng.sample(sorted(bags), len(bags) // 3):
-        # padding with a vertex of a neighbouring bag keeps occurrences connected
-        y = rng.choice(adj[x]) if adj[x] else x
-        if bags[y]:
-            bags[x].add(rng.choice(sorted(bags[y])))
-    fresh = max(bags) + 1
-    for x in rng.sample(sorted(bags), len(bags) // 4):
-        bags[fresh] = set(rng.sample(sorted(bags[x]), rng.randint(0, len(bags[x]))))
-        edges.append((x, fresh))
-        fresh += 1
-    ids = rng.sample(range(1, 3 * len(bags) + 1), len(bags))
-    rename = dict(zip(sorted(bags), ids))
-    return TreeDecomp({rename[x]: b for x, b in bags.items()},
-                      [(rename[a], rename[b]) for a, b in edges])
-
-
-def _random_graph(rng):
-    """Sparse, grid or disconnected digraph with random arc directions."""
-    kind = rng.choice(["sparse", "grid", "disconnected"])
-    if kind == "grid":
-        rows, cols = rng.randint(1, 5), rng.randint(2, 6)
-        n = rows * cols
-        und = [(i, i + 1) for i in range(1, n + 1) if i % cols]
-        und += [(i, i + cols) for i in range(1, n - cols + 1)]
-    else:
-        n = rng.randint(1, 24)
-        m = rng.randint(0, n + n // 2) if kind == "sparse" else rng.randint(0, n // 2)
-        und = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(m)]
-    arcs = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in und]
-    return DiGraph(n, arcs)
-
-
-def _instances(rng):
-    """(graph, decomposition) pairs: k-trees and elimination decompositions,
-    each also with padded bags, subset leaves and relabelled ids."""
-    for seed in range(120):
-        g, td = gen_ktree(KTreeSpec(n=rng.randint(5, 24), k=1 + seed % 4, seed=seed,
-                                    arc_probability=rng.choice([0.2, 0.5, 0.9])))
-        yield g, td
-        yield g, _variant(td, rng)
-    for _ in range(200):
-        g = _random_graph(rng)
-        td = elimination_td(g)
-        yield g, td
-        yield g, _variant(td, rng)
-
-
 def test_sep_matches_exhaustive_scan():
     # each instance also rooted at a random node: the answer is the first
     # qualifying bag in ascending id, wherever the shape is rooted
     rng, roots = random.Random(2024), random.Random(2025)
-    for g, t in _instances(rng):
+    for g, t in corpus(rng):
         assert validate_td(g, t).ok
         rooted = TreeDecomp(t.bags, [tuple(e) for e in t.edges], root=roots.choice(sorted(t.bags)))
         targets = [rng.sample(range(1, g.n + 1), rng.randint(0, g.n)) for _ in range(4)]
@@ -201,7 +149,7 @@ def test_sep_matches_exhaustive_scan_on_balancing_targets(monkeypatch):
 
     monkeypatch.setattr(recursive, "sep", record)
     rng = random.Random(7)
-    for i, (g, t) in enumerate(_instances(rng)):
+    for i, (g, t) in enumerate(corpus(rng)):
         if i % 3 == 0:
             build_balanced(g, t)
     assert len(asked) > 500
@@ -209,24 +157,13 @@ def test_sep_matches_exhaustive_scan_on_balancing_targets(monkeypatch):
         _assert_sep_matches_oracle(g, t, u)
 
 
-def _und_adj(g):
-    """Undirected adjacency sets, built from the arcs; a self-loop's vertex
-    is its own neighbour, which no search is changed by."""
-    adj = {v: set() for v in range(1, g.n + 1)}
-    for u, v in g.arcs:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 def _connected_targets(g, rng):
     """Connected target sets that are not whole components: balls of a few
     BFS layers, and components minus one vertex (connected or not)."""
-    adj = _und_adj(g)
     for comp in undirected_components(g):
         ball = [rng.choice(comp)]
         for _ in range(rng.randint(0, 3)):
-            ball = vset([*ball, *(w for v in ball for w in adj[v])])
+            ball = vset([*ball, *(w for v in ball for w in members(g.und_mask[v]))])
         yield ball
         if len(comp) > 1:
             gone = rng.choice(comp)
@@ -235,7 +172,7 @@ def _connected_targets(g, rng):
 
 def test_sep_matches_exhaustive_scan_on_connected_targets():
     rng, roots = random.Random(2026), random.Random(2027)
-    for g, t in _instances(rng):
+    for g, t in corpus(rng):
         rooted = TreeDecomp(t.bags, [tuple(e) for e in t.edges], root=roots.choice(sorted(t.bags)))
         for u in _connected_targets(g, rng):
             _assert_sep_matches_oracle(g, t, u)
@@ -266,7 +203,7 @@ def test_sep_searches_no_bag_that_misses_connected_targets(monkeypatch):
     monkeypatch.setattr(separator, "is_balanced_separator", record)
     rng, roots = random.Random(2028), random.Random(2029)
     checked = 0
-    for g, t in _instances(rng):
+    for g, t in corpus(rng):
         rooted = TreeDecomp(t.bags, [tuple(e) for e in t.edges], root=roots.choice(sorted(t.bags)))
         for u in list(_connected_targets(g, rng)) + undirected_components(g):
             umask = vertex_mask(u)

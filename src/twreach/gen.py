@@ -134,7 +134,7 @@ def gen_shape(family: str, n: int, seed: int) -> tuple[DiGraph, TreeDecomp]:
     return g, elimination_td(g)
 
 
-def _random_graph(rng: random.Random) -> DiGraph:
+def random_graph(rng: random.Random) -> DiGraph:
     """A small sparse, grid or disconnected digraph."""
     kind = rng.choice(["sparse", "grid", "disconnected"])
     if kind == "grid":
@@ -175,7 +175,7 @@ def corpus(rng: random.Random):
         yield g, td
         yield g, variant(td, rng)
     for _ in range(200):
-        g = _random_graph(rng)
+        g = random_graph(rng)
         td = elimination_td(g)
         yield g, td
         yield g, variant(td, rng)

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from twreach import gen, recursive, separator
+from twreach import recursive, separator
 from twreach.decomp import TreeDecomp, binarize_balance, parse_td, validate_td, write_td
 from twreach.gen import (KTreeSpec, corpus, elimination_td, gen_ktree, gen_path, gen_shape,
-                         variant)
-from twreach.graph import (DiGraph, component_containing, members, parse_graph,
+                         random_graph, variant)
+from twreach.graph import (DiGraph, component_containing, parse_graph,
                            undirected_components, vset, write_graph)
 from twreach.recursive import (RDContext, RDNode, build_balanced,
                                build_hat_decomposition, hat_bag,
@@ -121,7 +121,7 @@ def _shape_instances(rng):
     also with padded bags, subset leaves and relabelled ids, left unrooted."""
     cases = [gen_path(n) for n in (*range(1, 40), 64, 100, 200)]
     for _ in range(200):
-        g = gen._random_graph(rng)
+        g = random_graph(rng)
         loop = rng.randint(1, g.n)
         g = DiGraph(g.n, [*g.arcs, (loop, loop)])
         cases.append((g, elimination_td(g)))
@@ -292,7 +292,10 @@ def _rd_children_by_lists(ctx, node):
     comp = ctx.component_of(node)
     zp = set(node.z) | set(ctx.sep_of(node.z).separator) | set(ctx.sep_of(comp).separator)
     remaining = set(comp) - zp
-    adj = {v: members(ctx.g.und_mask[v]) for v in range(1, ctx.g.n + 1)}
+    adj = {v: set() for v in range(1, ctx.g.n + 1)}
+    for a, b in ctx.g.und_edges:
+        adj[a].add(b)
+        adj[b].add(a)
     children, seen = [], set()
     for s in sorted(remaining):
         if s in seen:

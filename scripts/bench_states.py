@@ -13,10 +13,13 @@ it once; then each round times, per side, one `reach_balanced` call on the
 augmented tree, one `augment({u, v})` of the balanced tree alone, one
 `augment({u, v})` followed by `reach_balanced` (what a query on an already
 balanced graph costs), one `parse_td` of the instance's `.td` text (the
-set-up of perfbench's ktree-cold and small-mixed) and one `build_balanced`.
-Each call follows a full garbage collection, so that no call pays for a
-collection set off by the other side's garbage. There are 15 rounds at every
-n, alternating parent and change call by call, parent first on even rounds.
+set-up of perfbench's ktree-cold and small-mixed), one `build_balanced`, and
+its two stages apart: `build_hat_decomposition` of every undirected
+component (`hat_s`) and `binarize_balance` of those hats, built once
+beforehand (`binarize_s`). Each call follows a full garbage collection, so
+that no call pays for a collection set off by the other side's garbage.
+There are 15 rounds at every n, alternating parent and change call by call,
+parent first on even rounds.
 Two more calls per side run under tracemalloc: `reach_balanced` on the
 augmented tree alone (`heap_peak_mib`, which leaves out what `augment` built
 for the walk), and a whole query, `augment({u, v})` of the balanced tree
@@ -30,14 +33,20 @@ Then come the shape families (`SHAPES`), which the change side's
 `gen.gen_shape` draws at seed 7 and writes as `.gr` and `.td` text once;
 each side parses both texts and times `build_balanced` on them, alternating
 as above, in `RUNS` rounds, and each row reports the change's pair wins.
-Four A/A runs (one commit's `src` on both sides, 2-vCPU host, Python
+Six A/A runs (one commit's `src` on both sides, 2-vCPU host, Python
 3.11.7) read, over all rows of each kind: grid time_ratio_median
-0.970-1.031 (5-11 pair wins of 15), grid balance_time_ratio_median
-0.970-1.034 (4-11 wins) and shape balance_time_ratio_median 0.926-1.046
-(3-12 wins). A row outside that band is not shown to be noise. It exits 1 when the two sides' answers, accounting, balanced trees (of the grid
-or of a family), step or state entries differ. Memo entries are reported per
-side and may differ: a walk that collapses its budget axis memoizes fewer
-blocks for the same answer.
+0.970-1.039 (5-13 pair wins of 15), grid balance_time_ratio_median
+0.957-1.035 (4-11 wins) and shape balance_time_ratio_median 0.856-1.058
+(3-12 wins). The two of them that timed the stages apart read grid
+hat_time_ratio_median 0.985-1.037 (3-10 wins) and
+binarize_time_ratio_median 0.979-1.042 (4-10 wins). A row outside that
+band is not shown to be noise, and a single shape row inside it, even
+far from 1, is not shown to be a change.
+
+It exits 1 when the two sides' answers, accounting, balanced trees (of the
+grid or of a family), step or state entries differ. Memo entries are
+reported per side and may differ: a walk that collapses its budget axis
+memoizes fewer blocks for the same answer.
 """
 from __future__ import annotations
 
@@ -57,7 +66,8 @@ GRID = (64, 256, 1024, 2048, 4096)
 K, SEED = 3, 7
 RUNS = 15  # timed calls per side and kind at every n
 SHAPES = (("path", 250), ("path", 500), ("path", 1000), ("grid", 64), ("grid", 144),
-          ("grid", 256), ("sparse", 150), ("sparse", 300), ("sparse", 600))
+          ("grid", 256), ("sparse", 150), ("sparse", 300), ("sparse", 600),
+          ("isolated", 20000))
 SHAPE_SEED = 7
 
 
@@ -118,12 +128,19 @@ def shape_rows(sides: dict) -> dict:
 
 def timed_calls(tw, g, td, text, base, tree, u: int, v: int) -> dict:
     """The timed calls of one round, by field prefix."""
-    reach = tw["engine"].reach_balanced
+    reach, rec = tw["engine"].reach_balanced, tw["recursive"]
+
+    def hats():
+        return [rec.build_hat_decomposition(rec.RDContext(g, td, min(comp)))
+                for comp in tw["graph"].undirected_components(g)]
+    built = hats()
     return {"reach_balanced_": lambda: reach(g, tree, u, v, report=True),
             "augment_": lambda: base.augment({u, v}),
             "augment_reach_": lambda: reach(g, base.augment({u, v}), u, v, report=True),
             "parse_": lambda: tw["decomp"].parse_td(text),
-            "balance_": lambda: tw["recursive"].build_balanced(g, td)}
+            "balance_": lambda: rec.build_balanced(g, td),
+            "hat_": hats,
+            "binarize_": lambda: tw["decomp"].binarize_balance(*built)}
 
 
 def heap_peak_mib(call) -> float:
@@ -150,6 +167,12 @@ FIELDS = {
     "parse_q1_s": "first quartile", "parse_q3_s": "third quartile",
     "balance_s": "median seconds of one recursive.build_balanced(g, td)",
     "balance_q1_s": "first quartile", "balance_q3_s": "third quartile",
+    "hat_s": "median seconds of recursive.build_hat_decomposition over every undirected "
+             "component, the first stage of build_balanced",
+    "hat_q1_s": "first quartile", "hat_q3_s": "third quartile",
+    "binarize_s": "median seconds of decomp.binarize_balance of those hats, built once "
+                  "beforehand, the second stage of build_balanced",
+    "binarize_q1_s": "first quartile", "binarize_q3_s": "third quartile",
     "runs": "timed calls per side and kind, parent and change alternating call by call",
     "heap_peak_mib": "tracemalloc peak over one more reach_balanced call on the augmented tree",
     "query_heap_mib": "tracemalloc peak over one more augment({u, v}) of the balanced tree "
@@ -169,8 +192,12 @@ FIELDS = {
     "parse_pair_wins": "pair_wins of the parse_s calls",
     "balance_time_ratio_median": "time_ratio_median of the balance_s calls",
     "balance_pair_wins": "pair_wins of the balance_s calls",
+    "hat_time_ratio_median": "time_ratio_median of the hat_s calls",
+    "hat_pair_wins": "pair_wins of the hat_s calls",
+    "binarize_time_ratio_median": "time_ratio_median of the binarize_s calls",
+    "binarize_pair_wins": "pair_wins of the binarize_s calls",
     "balanced_sha1": "first 12 hex digits of the SHA-1 of write_td(build_balanced(g, td))",
-    "family": "shapes: the gen.gen_shape family, path, grid or sparse",
+    "family": "shapes: the gen.gen_shape family, path, grid, sparse or isolated",
     "width_input": "shapes: width of the input decomposition",
 }
 

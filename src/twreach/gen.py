@@ -122,11 +122,16 @@ def _sparse(rng: random.Random, n: int, m: int) -> DiGraph:
 
 
 def gen_shape(family: str, n: int, seed: int) -> tuple[DiGraph, TreeDecomp]:
-    """A benchmark instance off the k-trees: "path" is `gen_path(n)`; "grid"
-    (side round(sqrt(n))) and "sparse" (round(1.1 n) random pairs) draw from
-    random.Random(seed * 1000003 + n) and come with `elimination_td`."""
+    """A benchmark instance off the k-trees: "path" is `gen_path(n)`;
+    "isolated" is n vertices with no arcs, one bag per vertex, the bags in a
+    path; "grid" (side round(sqrt(n))) and "sparse" (round(1.1 n) random
+    pairs) draw from random.Random(seed * 1000003 + n) and come with
+    `elimination_td`."""
     if family == "path":
         return gen_path(n)
+    if family == "isolated":
+        return DiGraph(n, []), TreeDecomp({v: (v,) for v in range(1, n + 1)},
+                                          [(v, v + 1) for v in range(1, n)])
     if family not in ("grid", "sparse"):
         raise ValueError(f"unknown family {family!r}")
     rng = random.Random(seed * 1000003 + n)

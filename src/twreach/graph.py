@@ -100,7 +100,19 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 
 
 def members(mask: int) -> VertexSet:
-    """The vertices of a mask, ascending."""
+    """The vertices of a non-negative mask, ascending.
+
+    A mask of at most 64 bits (an empty or one-bit one too) is read top bit
+    first by bit_length(), so its cost does not grow with a string as long
+    as the mask; a denser one is read from its binary string.
+    """
+    if mask.bit_count() <= 64:
+        top = []
+        while mask:
+            v = mask.bit_length() - 1
+            top.append(v)
+            mask ^= 1 << v
+        return tuple(reversed(top))
     bits = bin(mask)[:1:-1]  # bits[i] is bit i
     out = []
     i = bits.find("1")

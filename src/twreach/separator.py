@@ -76,17 +76,32 @@ def is_balanced_separator(g: DiGraph, s, u, starts=None) -> bool:
     return True
 
 
+def _targets(g: DiGraph, u) -> tuple[VertexSet, int]:
+    """The vertices of u (an iterable or a mask) and their mask; ValueError
+    unless they lie in 1..n."""
+    if isinstance(u, int):
+        targets, umask = (), u
+        bad = u & 1 or u >> g.n + 1  # a negative mask too
+    else:
+        targets = vset(u)
+        umask = vertex_mask(targets)
+        bad = targets and (targets[0] < 1 or targets[-1] > g.n)
+    if bad:
+        raise ValueError(f"target vertices must lie in 1..{g.n}")
+    return targets or members(umask), umask
+
+
 def sep(g: DiGraph, t: TreeDecomp, u) -> SeparatorResult:
     """First bag (ascending node id) that balanced-separates u.
 
-    Requires a valid decomposition of g and targets in 1..n (ValueError
-    otherwise); on an invalid decomposition the answer is unspecified.
+    `u` is an iterable of vertices or their mask (bit v for vertex v), as in
+    `is_balanced_separator`. Requires a valid decomposition of g and targets
+    in 1..n (ValueError otherwise, for a mask with bit 0 or a bit above n
+    too); on an invalid decomposition the answer is unspecified.
     Deterministic tie-breaking matters: the recursive decomposition is defined
     in terms of this exact choice.
     """
-    targets = vset(u)
-    if targets and (targets[0] < 1 or targets[-1] > g.n):
-        raise ValueError(f"target vertices must lie in 1..{g.n}")
+    targets, umask = _targets(g, u)
     total = len(targets)  # a branch is heavy when 2*count > total
     rooting = t.rooting
     pre, end = rooting.pre, rooting.end
@@ -95,7 +110,6 @@ def sep(g: DiGraph, t: TreeDecomp, u) -> SeparatorResult:
     keys = [k for k, _ in keyed]
     tops = [v for _, v in keyed]
     tset = set(targets)
-    umask = vertex_mask(targets)
     # fact 3: a connected U held by the bags is met only inside subtree(r)
     connected = (0 < total and keys[-1] < len(pre)
                  and grow(g.und_mask, umask, umask & -umask) == umask)

@@ -199,6 +199,17 @@ def test_mask_search_matches_bruteforce():
             assert part == vertex_mask(comp) or (part & targets).bit_count() > cap
 
 
+def test_members_matches_bit_reference():
+    # masks of at most 64 bits are read by bit_length(), denser ones by string
+    rng = random.Random(9)
+    masks = [0, 1, 1 << 1, 1 << 70_000, 1 << 70_000 | 1 << 3, -1 % (1 << 64), -1 % (1 << 65)]
+    for size in (8, 200, 5000):
+        for count in (2, 63, 64, 65, 130):
+            masks.append(vertex_mask(rng.sample(range(size + count), count)))
+    for mask in masks:
+        assert members(mask) == tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def test_bfs_reachable_basic():
     g = DiGraph(3, [(1, 2), (2, 3)])
     assert bfs_reachable(g, 1, 3)

@@ -8,8 +8,8 @@ from twreach import recursive, separator
 from twreach.decomp import TreeDecomp, binarize_balance, parse_td, validate_td, write_td
 from twreach.gen import (KTreeSpec, corpus, elimination_td, gen_ktree, gen_path, gen_shape,
                          random_graph, variant)
-from twreach.graph import (DiGraph, component_containing, parse_graph,
-                           undirected_components, vset, write_graph)
+from twreach.graph import (DiGraph, members, parse_graph, undirected_components,
+                           vertex_mask, vset, write_graph)
 from twreach.recursive import (RDContext, RDNode, build_balanced,
                                build_hat_decomposition, hat_bag,
                                materialize_rd, rd_children)
@@ -31,20 +31,24 @@ def _path_ctx():
 #   <{3}, 4>: component {4}; sep({3})={2,3}; sep({4})={3,4};
 #   Z'={2,3,4}; nothing remains -> leaf.
 
+def _m(*vertices):
+    return vertex_mask(vertices)
+
+
 def test_rd_children_path_handrun():
-    ctx = _path_ctx()
-    root = ctx.root()
-    assert root == RDNode((), 1)
-    assert rd_children(ctx, root) == [RDNode((2,), 3)]
-    assert rd_children(ctx, RDNode((2,), 3)) == [RDNode((3,), 4)]
-    assert rd_children(ctx, RDNode((3,), 4)) == []
+    assert _path_ctx().root() == RDNode((), 1)
+    # (boundary, representative, component) per child, sets as masks
+    assert rd_children(PATH_G, _m(1, 2), _m(1, 2, 3, 4)) == [(_m(2), 3, _m(3, 4))]
+    assert rd_children(PATH_G, _m(1, 2, 3), _m(3, 4)) == [(_m(3), 4, _m(4))]
+    assert rd_children(PATH_G, _m(2, 3, 4), _m(4)) == []
 
 
 def test_hat_bags_path_handrun():
-    ctx = _path_ctx()
-    assert hat_bag(ctx, RDNode((), 1)) == (1, 2)
-    assert hat_bag(ctx, RDNode((2,), 3)) == (2, 3)
-    assert hat_bag(ctx, RDNode((3,), 4)) == (3, 4)
+    assert hat_bag(_m(), _m(1, 2), _m(1, 2, 3, 4)) == (1, 2)
+    assert hat_bag(_m(2), _m(1, 2, 3), _m(3, 4)) == (2, 3)
+    assert hat_bag(_m(3), _m(2, 3, 4), _m(4)) == (3, 4)
+    # the leaf as the pass sees it: Z' given as Z | C (fact (b))
+    assert hat_bag(_m(3), _m(3, 4), _m(4)) == (3, 4)
 
 
 def test_build_hat_path():
@@ -63,11 +67,6 @@ def test_materialize_rd_preorder():
 
 
 def test_rd_malformed_node():
-    ctx = _path_ctx()
-    with pytest.raises(ValueError, match="malformed"):
-        rd_children(ctx, RDNode((2,), 2))
-    with pytest.raises(ValueError, match="malformed"):
-        hat_bag(ctx, RDNode((2,), 2))
     for v0 in (0, 5):
         with pytest.raises(ValueError, match=f"root representative {v0} out of range"):
             RDContext(PATH_G, PATH_T, v0)
@@ -287,36 +286,56 @@ def test_one_vertex_component_outside_every_bag_raises():
         build_balanced(g, td)
 
 
-def _rd_children_by_lists(ctx, node):
-    """rd_children with the component search on adjacency lists, one edge at a time."""
-    comp = ctx.component_of(node)
-    zp = set(node.z) | set(ctx.sep_of(node.z).separator) | set(ctx.sep_of(comp).separator)
-    remaining = set(comp) - zp
-    adj = {v: set() for v in range(1, ctx.g.n + 1)}
-    for a, b in ctx.g.und_edges:
+def _adjacency(g):
+    adj = {v: set() for v in range(1, g.n + 1)}
+    for a, b in g.und_edges:
         adj[a].add(b)
         adj[b].add(a)
+    return adj
+
+
+def _search(adj, start, alive):
+    """Vertices joined to start inside the set alive, one edge at a time."""
+    seen, stack = {start}, [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y in alive and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _rd_node_by_lists(g, t, adj, node):
+    """One node of the recursive decomposition in full, on adjacency lists
+    and `sep` over tuples: its component, its hat bag and its children, each
+    child with its own component."""
+    comp = _search(adj, node.r, set(adj) - set(node.z))
+    seps = set(sep(g, t, node.z).separator) | set(sep(g, t, vset(comp)).separator)
+    zp = set(node.z) | seps
+    remaining = comp - zp
     children, seen = [], set()
     for s in sorted(remaining):
         if s in seen:
             continue
-        sub, stack = {s}, [s]
-        seen.add(s)
-        while stack:
-            for y in adj[stack.pop()]:
-                if y in remaining and y not in seen:
-                    seen.add(y)
-                    sub.add(y)
-                    stack.append(y)
+        sub = _search(adj, s, remaining)
+        seen |= sub
         if 2 * len(sub) > len(comp):
             raise ValueError("invalid decomposition")
-        children.append(RDNode(vset(v for v in zp if any(y in sub for y in adj[v])), min(sub)))
-    return children
+        children.append((RDNode(vset(v for v in zp if adj[v] & sub), s), vset(sub)))
+    return vset(comp), vset(set(node.z) | (seps & comp)), children
 
 
-def _rd_outcome(fn, ctx, node):
+def _rd_children_by_masks(ctx, node):
+    """rd_children on the node's masks, Z' from the context's separator cache."""
+    comp = vertex_mask(ctx.component_of(node))
+    z = vertex_mask(node.z)
+    zp = z | ctx.sep_of(comp) | ctx.sep_of(z)
+    return [(RDNode(members(cz), r), members(sub)) for cz, r, sub in rd_children(ctx.g, zp, comp)]
+
+
+def _rd_outcome(fn, *args):
     try:
-        return fn(ctx, node)
+        return fn(*args)
     except (ValueError, RuntimeError) as exc:
         return type(exc).__name__
 
@@ -325,6 +344,7 @@ def test_rd_children_matches_adjacency_lists():
     rng = random.Random(11)
     outcomes = []
     for g, td in corpus(random.Random(5)):
+        adj = _adjacency(g)
         # a copy with one vertex dropped from one bag is usually invalid
         bags = {x: set(b) for x, b in td.bags.items()}
         x = rng.choice([x for x in bags if bags[x]])
@@ -341,8 +361,11 @@ def test_rd_children_matches_adjacency_lists():
                     z = vset(rng.sample(range(1, g.n + 1), rng.randint(0, g.n - 1)))
                     nodes.append(RDNode(z, rng.choice([v for v in range(1, g.n + 1) if v not in z])))
                 for node in nodes:
-                    want = _rd_outcome(_rd_children_by_lists, ctx, node)
-                    assert _rd_outcome(rd_children, ctx, node) == want, node
+                    want = _rd_outcome(_rd_node_by_lists, g, t, adj, node)
+                    if not isinstance(want, str):
+                        want = want[2]
+                    # each child's component is the one rd_children grew (fact (c))
+                    assert _rd_outcome(_rd_children_by_masks, ctx, node) == want, node
                     outcomes.append(want if isinstance(want, str) else "children")
     assert outcomes.count("children") > 2000
     assert outcomes.count("ValueError") > 10
@@ -350,20 +373,18 @@ def test_rd_children_matches_adjacency_lists():
 
 def _full_hat_decomposition(ctx):
     """build_hat_decomposition without shortcuts: every node's component
-    searched in the graph, its children found on adjacency lists, and its hat
-    bag Z | ((sep(C) | sep(Z)) & C) computed in full."""
-    full = RDContext(ctx.g, ctx.t, ctx.v0)  # caches filled only from here
+    searched on adjacency lists, its children found there too, and its hat
+    bag Z | ((sep(C) | sep(Z)) & C) computed in full with `sep` over tuples."""
+    adj = _adjacency(ctx.g)
     bags, edges = {}, []
-    stack = [(full.root(), None)]
+    stack = [(RDNode((), ctx.v0), None)]
     while stack:
         node, parent = stack.pop()
         nid = len(bags) + 1
-        comp = set(component_containing(full.g, node.z, node.r))
-        seps = set(sep(full.g, full.t, comp).separator) | set(sep(full.g, full.t, node.z).separator)
-        bags[nid] = vset(set(node.z) | (seps & comp))
+        _, bags[nid], children = _rd_node_by_lists(ctx.g, ctx.t, adj, node)
         if parent is not None:
             edges.append((parent, nid))
-        stack.extend((child, nid) for child in reversed(_rd_children_by_lists(full, node)))
+        stack.extend((child, nid) for child, _ in reversed(children))
     return TreeDecomp(bags, edges, root=1)
 
 

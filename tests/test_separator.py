@@ -106,6 +106,32 @@ def test_sep_rejects_out_of_range_targets():
             sep(PATH_G, PATH_T, u)
 
 
+def test_sep_mask_targets_match_tuples():
+    rng = random.Random(6)
+    checked = 0
+    for g, t in corpus(random.Random(5)):
+        targets = [rng.sample(range(1, g.n + 1), rng.randint(0, g.n)) for _ in range(3)]
+        for u in [*targets, *undirected_components(g), range(1, g.n + 1)]:
+            mask = vertex_mask(u)
+            try:
+                want = sep(g, t, members(mask))
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    sep(g, t, mask)
+                continue
+            assert sep(g, t, mask) == want
+            checked += 1
+        # bit 0, or a bit above n, is rejected as the tuple form rejects it
+        for bad in (0, g.n + 1, g.n + 70):
+            mask = vertex_mask(rng.sample(range(1, g.n + 1), rng.randint(0, g.n))) | 1 << bad
+            with pytest.raises(ValueError) as by_tuple:
+                sep(g, t, members(mask))
+            with pytest.raises(ValueError) as by_mask:
+                sep(g, t, mask)
+            assert str(by_mask.value) == str(by_tuple.value)
+    assert checked > 500
+
+
 def _oracle_sep(g, t, u):
     """The exhaustive scan: first bag in ascending id that balanced-separates u."""
     u = vset(u)
@@ -140,7 +166,7 @@ def test_sep_matches_exhaustive_scan():
 
 
 def test_sep_matches_exhaustive_scan_on_balancing_targets(monkeypatch):
-    # the exact target sets the recursive decomposition asks for
+    # the exact target sets the recursive decomposition asks for, as masks
     asked = []
 
     def record(g, t, u):
@@ -154,7 +180,7 @@ def test_sep_matches_exhaustive_scan_on_balancing_targets(monkeypatch):
             build_balanced(g, t)
     assert len(asked) > 500
     for g, t, u in asked:
-        _assert_sep_matches_oracle(g, t, u)
+        _assert_sep_matches_oracle(g, t, [v for v in range(u.bit_length()) if u >> v & 1])
 
 
 def _connected_targets(g, rng):

@@ -17,8 +17,11 @@ from .sequences import lseq_element, useq_stream
 # Past these limits one command would run for hours or print gigabytes:
 # `useq --s` prints 2^(s+1) - 1 numbers, `bench` balances and walks one
 # instance per repetition, and an `lseq` answer takes (tree height + log2 d)
-# steps, each a closed form over (tree height) binomials (0.15 s at d =
-# 2^2048 on the balanced k=3 n=1024 k-tree). `gen-ktree` takes about 50 us
+# steps, each a closed form with one binomial per depth that holds a leaf
+# (0.15 s at d = 2^2048 on the balanced k=3 n=1024 k-tree). Each step also
+# counts its node's leaves by depth, so on a tree that is a path an answer
+# costs O(height^2): 0.3 s at d = 2^2048 on a 400-bag path and 2.0 s on a
+# 2,000-bag one, a 48 KB `.td` file. `gen-ktree` takes about 50 us
 # and 1.8 KB per vertex (n=100000: 4.9 s, 179 MiB peak), and one `bench`
 # instance grows faster than linearly in n (k=3: 2.5 s at n=4096, 6.7 s and
 # 127 MiB at n=8192). A k-tree has about n*k edges, so both commands also

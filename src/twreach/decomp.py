@@ -269,7 +269,9 @@ def validate_td(g: DiGraph, t: TreeDecomp, vertices: Iterable[int] | None = None
     for x, b in t.bags.items():
         for v in b:
             occ.setdefault(v, set()).add(x)
-    covers_vertices = len(occ) == len(target) and all(v in target for v in occ)
+    # g.n, not len(range), which overflows past sys.maxsize vertices
+    size = g.n if vertices is None else len(target)
+    covers_vertices = len(occ) == size and all(v in target for v in occ)
     witness = None
     if not covers_vertices:  # the smallest uncovered target, else the smallest stray
         missing = next(itertools.chain((v for v in target if v not in occ),

@@ -5,8 +5,12 @@ A VertexSet is a sorted, duplicate-free tuple of vertex ids, so set
 equality is tuple equality. Connectivity works on int vertex masks (bit v
 for vertex v): `grow` adds a whole BFS layer per step by OR-ing the cached
 neighbour masks `DiGraph.und_mask` of the frontier, and every component
-search of the package goes through it. The marking walk reads the directed
-counterpart, `DiGraph.succ_mask`.
+search of the package goes through it, and `split` cuts a mask into its
+components' masks. `checked_mask` is the one decoder of a vertex set a
+caller passes in; `members` reads masks the package built, and leaves its
+precondition (a non-negative mask) unchecked because it runs about 220
+times per op of perfbench's ktree-cold workload. The marking walk reads the
+directed counterpart, `DiGraph.succ_mask`.
 """
 from __future__ import annotations
 
@@ -83,7 +87,7 @@ class DiGraph:
     @cached_property
     def components(self) -> tuple[VertexSet, ...]:
         """Undirected components sorted by smallest member, computed once per graph."""
-        return tuple(_split(self, self.vertices_mask))
+        return tuple(map(members, split(self, self.vertices_mask)))
 
     @cached_property
     def und_edges(self) -> frozenset[tuple[int, int]]:
@@ -97,6 +101,17 @@ def vertex_mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
+
+
+def checked_mask(g: DiGraph, vertices: Iterable[int] | int) -> int:
+    """Mask of `vertices`, an iterable of vertices or their mask; ValueError
+    for a vertex outside 1..n, so for a mask with bit 0, a bit above n or a
+    negative value. No bit past n is ever set."""
+    if not isinstance(vertices, int):  # a vertex outside 1..n sets bit 0
+        vertices = vertex_mask(v if 1 <= v <= g.n else 0 for v in vertices)
+    if vertices & 1 or vertices >> g.n + 1:  # a negative mask shifts to -1
+        raise ValueError(f"vertices must lie in 1..{g.n}")
+    return vertices
 
 
 def members(mask: int) -> VertexSet:
@@ -144,29 +159,30 @@ def grow(nbr: list[int], alive: int, seed: int, targets: int = 0, cap: int = -1)
     return comp
 
 
-def _split(g: DiGraph, alive: int) -> list[VertexSet]:
-    comps = []
+def split(g: DiGraph, alive: int) -> list[int]:
+    """Masks of the undirected components of g inside the `alive` mask,
+    ordered by their lowest vertex."""
+    nbr, comps = g.und_mask, []
     while alive:
-        comp = grow(g.und_mask, alive, alive & -alive)
+        comp = grow(nbr, alive, alive & -alive)
         alive ^= comp
-        comps.append(members(comp))
+        comps.append(comp)
     return comps
 
 
-def undirected_components(g: DiGraph, removed: Iterable[int] = ()) -> list[VertexSet]:
-    """Connected components of the undirected view of g with `removed` deleted.
-
-    Components are returned sorted by their smallest member.
-    """
-    gone = vertex_mask(removed)
+def undirected_components(g: DiGraph, removed: Iterable[int] | int = ()) -> list[VertexSet]:
+    """Connected components of the undirected view of g with `removed` (as
+    `checked_mask` takes it) deleted, sorted by their smallest member."""
+    gone = checked_mask(g, removed)
     if not gone:
         return list(g.components)
-    return _split(g, g.vertices_mask & ~gone)
+    return list(map(members, split(g, g.vertices_mask & ~gone)))
 
 
-def component_containing(g: DiGraph, z: Iterable[int], r: int) -> VertexSet:
-    """Vertex set of the undirected component of g minus z that contains r."""
-    gone = vertex_mask(z)
+def component_containing(g: DiGraph, z: Iterable[int] | int, r: int) -> VertexSet:
+    """Vertex set of the undirected component of g minus z (as
+    `checked_mask` takes it) that contains r."""
+    gone = checked_mask(g, z)
     if gone >> r & 1:
         raise ValueError(f"representative {r} lies inside the removed set")
     if not (1 <= r <= g.n):

@@ -21,17 +21,19 @@ changing the tree:
 (b) sep({r}) is the first bag holding r, so a one-vertex component {r}
     satisfies (a) whenever some bag holds r (always, on a valid
     decomposition), with no `sep` call at all.
-(c) A child's component is the mask `rd_children` grew for it: every
-    neighbour of it outside it lies in Z' (C's own outside neighbours are in
-    Z), and the child's boundary is exactly the vertices of Z' that touch it.
-    So only a root's component is searched for in the graph.
+(c) The children's components are `graph.split(g, C & ~Z')`: every
+    neighbour of one outside it lies in Z' (C's own outside neighbours are
+    in Z), and its boundary is exactly the vertices of Z' that touch it. So
+    only a root's component is searched for in the whole graph.
+
+`RDContext.component_of` searches the graph for a node's component.
 """
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
 from .decomp import BalancedTD, TreeDecomp, binarize_balance
-from .graph import (DiGraph, VertexSet, component_containing, grow, members,
+from .graph import (DiGraph, VertexSet, component_containing, members, split,
                     undirected_components, vertex_mask)
 from .separator import sep
 
@@ -43,7 +45,7 @@ class RDNode(NamedTuple):
 
 
 class RDContext:
-    """Immutable inputs of a recursive decomposition plus its separator and component caches."""
+    """Immutable inputs of a recursive decomposition plus its separator cache."""
 
     def __init__(self, g: DiGraph, t: TreeDecomp, v0: int):
         if not (1 <= v0 <= g.n):
@@ -52,7 +54,6 @@ class RDContext:
         self.t = t
         self.v0 = v0
         self._sep_cache: dict[int, int] = {}
-        self._comp_cache: dict[RDNode, int] = {}
 
     def root(self) -> RDNode:
         return RDNode((), self.v0)
@@ -65,27 +66,20 @@ class RDContext:
         return hit
 
     def component_of(self, node: RDNode) -> VertexSet:
-        """Component of g minus node.z containing node.r. `materialize_rd`
-        records each node's, so only other nodes are searched for."""
-        hit = self._comp_cache.get(node)
-        if hit is None:
-            hit = self._comp_cache[node] = vertex_mask(component_containing(self.g, node.z, node.r))
-        return members(hit)
+        """Component of g minus node.z containing node.r."""
+        return component_containing(self.g, node.z, node.r)
 
 
 def rd_children(g: DiGraph, zp: int, comp: int) -> list[tuple[int, int, int]]:
     """Children of a node with component mask comp and Z' mask zp: one
-    (boundary, representative, component) per component of comp minus zp,
-    sets as masks, ordered by representative, the component's lowest vertex."""
-    nbr = g.und_mask
-    alive = comp & ~zp
+    (boundary, representative, component) per component of comp minus zp
+    (fact (c)), sets as masks, ordered by representative, the component's
+    lowest vertex."""
     cap = comp.bit_count() // 2
-    zs = [(1 << v, nbr[v]) for v in members(zp)] if alive else []
+    nbr = g.und_mask
+    zs = [(1 << v, nbr[v]) for v in members(zp)]
     children = []
-    while alive:
-        low = alive & -alive
-        sub = grow(nbr, alive, low)
-        alive ^= sub
+    for sub in split(g, comp & ~zp):
         if sub.bit_count() > cap:
             # sep(comp) halves comp whenever the decomposition is valid; this
             # also bounds the recursion on inputs that skipped validation
@@ -94,7 +88,7 @@ def rd_children(g: DiGraph, zp: int, comp: int) -> list[tuple[int, int, int]]:
         for bit, adj in zs:
             if adj & sub:
                 z |= bit
-        children.append((z, low.bit_length() - 1, sub))  # fact (c)
+        children.append((z, (sub & -sub).bit_length() - 1, sub))
     return children
 
 
@@ -129,12 +123,7 @@ def _rd_pass(ctx: RDContext) -> Iterator[tuple[int, int | None, int, int, int, i
 
 def materialize_rd(ctx: RDContext) -> list[tuple[int, RDNode, int | None]]:
     """Full recursive decomposition as (id, node, parent-id) in preorder."""
-    out: list[tuple[int, RDNode, int | None]] = []
-    for nid, parent, z, r, comp, _ in _rd_pass(ctx):
-        node = RDNode(members(z), r)
-        ctx._comp_cache[node] = comp
-        out.append((nid, node, parent))
-    return out
+    return [(nid, RDNode(members(z), r), parent) for nid, parent, z, r, _, _ in _rd_pass(ctx)]
 
 
 def build_hat_decomposition(ctx: RDContext) -> TreeDecomp:

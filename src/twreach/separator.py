@@ -3,7 +3,10 @@
 A set S is a balanced separator of U when every component of the graph minus S
 holds at most |U|/2 members of U. For any valid decomposition some bag
 qualifies, and its size is bounded by width+1. Comparisons use exact integer
-arithmetic (2*count <= |U|).
+arithmetic (2*count <= |U|). Both `sep` and `is_balanced_separator` take U
+as an iterable of vertices or as their mask and decode it with
+`graph.checked_mask`, so a target outside 1..n (bit 0, a bit above n or a
+negative mask too) raises the same ValueError before any search.
 
 `sep` returns the first bag in ascending node id that balanced-separates U;
 the recursive decomposition is defined by that choice. It requires a valid
@@ -46,7 +49,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .decomp import TreeDecomp
-from .graph import DiGraph, VertexSet, grow, members, vertex_mask, vset
+from .graph import DiGraph, VertexSet, checked_mask, grow, members, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -59,10 +62,11 @@ class SeparatorResult:
 def is_balanced_separator(g: DiGraph, s, u, starts=None) -> bool:
     """True iff every component of g minus s has at most |u|/2 vertices of u.
 
-    `u` is an iterable of vertices or their mask. With `starts`, only the
-    components holding those vertices are searched.
+    `u` is an iterable of vertices or their mask, checked by `checked_mask`.
+    `s` is read as given: `sep` passes it decomposition bags. With `starts`,
+    only the components holding those vertices are searched.
     """
-    umask = u if isinstance(u, int) else vertex_mask(u)
+    umask = checked_mask(g, u)
     cap = umask.bit_count() // 2  # a component is too heavy past cap targets
     alive = g.vertices_mask & ~vertex_mask(s)
     nbr = g.und_mask
@@ -76,32 +80,18 @@ def is_balanced_separator(g: DiGraph, s, u, starts=None) -> bool:
     return True
 
 
-def _targets(g: DiGraph, u) -> tuple[VertexSet, int]:
-    """The vertices of u (an iterable or a mask) and their mask; ValueError
-    unless they lie in 1..n."""
-    if isinstance(u, int):
-        targets, umask = (), u
-        bad = u & 1 or u >> g.n + 1  # a negative mask too
-    else:
-        targets = vset(u)
-        umask = vertex_mask(targets)
-        bad = targets and (targets[0] < 1 or targets[-1] > g.n)
-    if bad:
-        raise ValueError(f"target vertices must lie in 1..{g.n}")
-    return targets or members(umask), umask
-
-
 def sep(g: DiGraph, t: TreeDecomp, u) -> SeparatorResult:
     """First bag (ascending node id) that balanced-separates u.
 
-    `u` is an iterable of vertices or their mask (bit v for vertex v), as in
-    `is_balanced_separator`. Requires a valid decomposition of g and targets
-    in 1..n (ValueError otherwise, for a mask with bit 0 or a bit above n
-    too); on an invalid decomposition the answer is unspecified.
+    `u` is an iterable of vertices or their mask (bit v for vertex v), checked
+    by `checked_mask` as in `is_balanced_separator`: a vertex outside 1..n
+    raises ValueError before any search. Requires a valid decomposition of g;
+    on an invalid one the answer is unspecified.
     Deterministic tie-breaking matters: the recursive decomposition is defined
     in terms of this exact choice.
     """
-    targets, umask = _targets(g, u)
+    umask = checked_mask(g, u)
+    targets = members(umask)
     total = len(targets)  # a branch is heavy when 2*count > total
     rooting = t.rooting
     pre, end = rooting.pre, rooting.end

@@ -106,7 +106,7 @@ def schedule_length(depths: list[int], d: int) -> int:
     rule (unrolled, the hockey-stick identity).
     """
     s = _check_pow2(d)
-    return d * sum(count * comb(k + s, s) for k, count in enumerate(depths))
+    return d * sum(count * comb(k + s, s) for k, count in enumerate(depths) if count)
 
 
 def lseq_length(h: int, d: int) -> int:

@@ -97,6 +97,20 @@ def test_invalid_decomposition_exits_2(tmp_path, capsys, command, case):
     assert not (tmp_path / "b.td").exists()
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_huge_vertex_count_exits_2(tmp_path, capsys, command):
+    # 10^19 vertices, more than sys.maxsize, and one bag holding vertex 1:
+    # coverage fails at vertex 2 instead of overflowing in len()
+    gr, td = tmp_path / "g.gr", tmp_path / "t.td"
+    gr.write_text("p dgr 10000000000000000000 0\n")
+    td.write_text("s td 1 1 10000000000000000000\nb 1 1\n")
+    extra = [str(tmp_path / a) if a == "b.td" else a for a in COMMANDS[command]]
+    assert cli.main([command, "--graph", str(gr), "--td", str(td)] + extra) == 2
+    captured = capsys.readouterr()
+    assert "vertex coverage mismatch, e.g. vertex 2" in captured.out + captured.err
+    assert "REACHABLE" not in captured.out
+
+
 @pytest.mark.parametrize("command", ["balance", "reach"])
 @pytest.mark.parametrize("gr_text, td_text, error", [
     # vertex 4 is in no bag: the recursion keeps the whole component

@@ -1,11 +1,13 @@
 import random
+import tracemalloc
 
 import pytest
 
 from twreach import recursive, separator
 from twreach.decomp import TreeDecomp, validate_td
 from twreach.gen import KTreeSpec, corpus, gen_ktree, gen_path
-from twreach.graph import DiGraph, grow, members, undirected_components, vertex_mask, vset
+from twreach.graph import (DiGraph, component_containing, grow, members,
+                           undirected_components, vertex_mask, vset)
 from twreach.recursive import build_balanced
 from twreach.separator import SeparatorResult, is_balanced_separator, sep
 
@@ -104,6 +106,37 @@ def test_sep_rejects_out_of_range_targets():
     for u in ((0,), (999,), (1, 5)):
         with pytest.raises(ValueError, match="1..4"):
             sep(PATH_G, PATH_T, u)
+
+
+def test_vertex_sets_outside_the_graph_raise_one_error():
+    # every entry point that takes a vertex set decodes it with
+    # graph.checked_mask: vertices 0, n+1, -1 and 10^9, and masks with bit 0,
+    # bit n+1 or a negative value, all raise one ValueError naming 1..n
+    g, n = PATH_G, PATH_G.n
+    entries = {
+        "sep": lambda u: sep(g, PATH_T, u),
+        "is_balanced_separator": lambda u: is_balanced_separator(g, (2,), u),
+        "component_containing": lambda z: component_containing(g, z, 2),
+        "undirected_components": lambda removed: undirected_components(g, removed),
+    }
+    bad = [(0,), (n + 1,), (-1,), (10**9,), (3, 10**9, 1), 1, 1 << n + 1, 1 << 3 | 1, -2]
+    for name, call in entries.items():
+        # a mask decodes as the iterable does
+        for good in ((), (3,), (1, 4)):
+            assert call(vertex_mask(good)) == call(good), name
+        for u in bad:
+            with pytest.raises(ValueError) as exc:
+                call(u)
+            assert str(exc.value) == f"vertices must lie in 1..{n}", (name, u)
+        # the check comes before any bit is set, so 10^9 costs no memory
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                call([10**9])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, name
 
 
 def test_sep_mask_targets_match_tuples():

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from twreach import sequences
 from twreach.decomp import BalancedTD
 from twreach.gen import KTreeSpec, elimination_td, gen_ktree, gen_path
 from twreach.graph import DiGraph
@@ -273,6 +274,16 @@ def test_schedule_length_is_exact_at_every_node(monkeypatch):
     for d in (0, 3):
         with pytest.raises(ValueError, match="power of 2"):
             schedule_length([1], d)
+
+
+def test_schedule_length_skips_depths_with_no_leaf(monkeypatch):
+    # a path's root has one leaf, 500 levels down: one binomial, not 501,
+    # and the value is the one over every depth
+    calls = []
+    monkeypatch.setattr(sequences, "comb", lambda n, k: calls.append(n) or comb(n, k))
+    d = 1 << 2048
+    assert schedule_length([0] * 500 + [3], d) == 3 * d * comb(500 + 2048, 2048)
+    assert calls == [500 + 2048]
 
 
 def _reference_element(seq, r):
